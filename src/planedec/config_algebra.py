@@ -363,24 +363,9 @@ def _oplus_split(c: Configuration, want_left: str):
     on_walk = walk.edge_set
     cands = [t for t in g.neighbors(y)
              if t not in (x, z) and t in bset and und(t, y) not in on_walk]
-    vs = walk.vertices
-    k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
     for t in sorted(cands):
-        left_cycle = []
-        i = pos[t]
-        while True:
-            left_cycle.append(vs[i])
-            if vs[i] == y:
-                break
-            i = (i + 1) % k
-        right_cycle = []
-        i = pos[y]
-        while True:
-            right_cycle.append(vs[i])
-            if vs[i] == t:
-                break
-            i = (i + 1) % k
+        left_cycle = walk.stretch(t, y)
+        right_cycle = walk.stretch(y, t)
         if len(left_cycle) < 4 or len(right_cycle) < 4:
             continue
         lp = int_subgraph(g, left_cycle)

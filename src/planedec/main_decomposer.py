@@ -262,8 +262,7 @@ def _dispatch(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition
             continue
         trace.add("Claim1", f"delete {v}")
         sub = _sub_config(piece, cfg.path)
-        dec = _recurse(sub, goal, trace).relabel(
-            {c: piece.parent_of(c) for c in piece.graph.vertices()})
+        dec = piece.lift(_recurse(sub, goal, trace))
         return dec.adjust(add_arcs=[(v, q) for q in g.neighbors(v)])
 
     # Claim 2: cut vertices
@@ -334,6 +333,21 @@ def _bridges_of_block(g: PlaneGraph, hverts: frozenset[int]
     return out
 
 
+def _orient_tree(g: PlaneGraph, root: int) -> list[Edge]:
+    """Every edge of the tree g as an arc pointing towards root."""
+    arcs = []
+    parent: dict[int, int | None] = {root: None}
+    stack = [root]
+    while stack:
+        p = stack.pop()
+        for q in g.neighbors(p):
+            if q not in parent:
+                parent[q] = p
+                arcs.append((q, p))
+                stack.append(q)
+    return arcs
+
+
 def _bridge_piece_dec(piece: Piece, a: int, b: int,
                       trace: CaseTrace) -> Decomposition:
     """Decomposition of a hanging piece K (attached at a) covering E(K) minus
@@ -346,21 +360,10 @@ def _bridge_piece_dec(piece: Piece, a: int, b: int,
     k = piece.graph
     cm = piece.child_of
     ca, cb = cm[a], cm[b]
-    lift = {c: piece.parent_of(c) for c in k.vertices()}
 
     if k.m == k.n - 1:  # a tree: orient everything towards a
-        arcs = []
-        parent = {ca: None}
-        stack = [ca]
-        while stack:
-            p = stack.pop()
-            for q in k.neighbors(p):
-                if q not in parent:
-                    parent[q] = p
-                    arcs.append((q, p))
-                    stack.append(q)
-        dec = Decomposition.of(a for a in arcs if set(a) != {ca, cb})
-        return dec.relabel(lift)
+        return piece.lift(Decomposition.of(
+            a for a in _orient_tree(k, ca) if set(a) != {ca, cb}))
 
     bd = k.block_decomposition
     hv = bd.block_of_edge(ca, cb)
@@ -371,17 +374,15 @@ def _bridge_piece_dec(piece: Piece, a: int, b: int,
         hcm = hp.child_of
         quad = walk_quad(hp.graph, hcm[ca], hcm[cb])
         hcfg = Configuration(hp.graph, quad)
-        hdec = _recurse(hcfg, "M0", trace).relabel(
-            {c: hp.parent_of(c) for c in hp.graph.vertices()})
+        hdec = hp.lift(_recurse(hcfg, "M0", trace))
     parts = [hdec]
     arcs: list[Edge] = []
     for (u, kv) in _bridges_of_block(k, hv):
-        piece = peel_piece(k, kv, u)
-        v = _bridge_partner(piece, u)
-        parts.append(_bridge_piece_dec(piece, u, v, trace))
+        bridge = peel_piece(k, kv, u)
+        v = _bridge_partner(bridge, u)
+        parts.append(_bridge_piece_dec(bridge, u, v, trace))
         arcs.append((v, u))
-    dec = parts[0].union(*parts[1:]).adjust(add_arcs=arcs)
-    return dec.relabel(lift)
+    return piece.lift(parts[0].union(*parts[1:]).adjust(add_arcs=arcs))
 
 
 def _walk_edge_within(g: PlaneGraph, verts: frozenset[int], a: int, b: int) -> Edge:
@@ -429,24 +430,23 @@ def _claim2(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
     else:
         hp = extract_piece(g, hverts, outer_parent_edge=(x, y))
         hcm = hp.child_of
-        hlift = {c: hp.parent_of(c) for c in hp.graph.vertices()}
         hg = hp.graph
         if w_in and z_in:
             hcfg = Configuration(hg, (hcm[w], hcm[x], hcm[y], hcm[z]))
-            hdec = _recurse(hcfg, goal, trace).relabel(hlift)
+            hdec = hp.lift(_recurse(hcfg, goal, trace))
         elif not w_in and not z_in:
             xm = hg.boundary_pred(hcm[x])
             yp = hg.boundary_succ(hcm[y])
             hcfg = Configuration(hg, (xm, hcm[x], hcm[y], yp))
             hgoal: Goal = "M1" if goal == "M1" else "M0"
-            hdec = _recurse(hcfg, hgoal, trace).relabel(hlift)
+            hdec = hp.lift(_recurse(hcfg, hgoal, trace))
         else:
             if not w_in and goal == "M3":
                 # w hangs off x; the whole path's tail sits in H, and the
                 # precondition (no R(xyz)-containment) transfers to H
                 xm = hg.boundary_pred(hcm[x])
                 hcfg = Configuration(hg, (xm, hcm[x], hcm[y], hcm[z]))
-                hdec = _recurse(hcfg, "M3", trace).relabel(hlift)
+                hdec = hp.lift(_recurse(hcfg, "M3", trace))
                 dec = hdec.union(*bridge_parts) if bridge_parts else hdec
                 return dec.adjust(add_arcs=bridge_arcs)
             if not w_in:
@@ -459,17 +459,17 @@ def _claim2(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
                 yp = hg.boundary_succ(hcm[y])
                 hcfg = Configuration(hg, (xm, hcm[x], hcm[y], yp))
                 hgoal = "M1" if goal == "M1" else "M0"
-                hdec = _recurse(hcfg, hgoal, trace).relabel(hlift)
+                hdec = hp.lift(_recurse(hcfg, hgoal, trace))
             elif goal == "M3":
                 # the M0-style assembly already leaves z unmatched with one arc
                 xm = hg.boundary_pred(hcm[x])
                 yp = hg.boundary_succ(hcm[y])
                 hcfg = Configuration(hg, (xm, hcm[x], hcm[y], yp))
-                hdec = _recurse(hcfg, "M0", trace).relabel(hlift)
+                hdec = hp.lift(_recurse(hcfg, "M0", trace))
             else:  # M2: (H, y+ y x w) with goal M3 makes w unmatched too
                 yp = hg.boundary_succ(hcm[y])
                 hcfg = Configuration(hg, (yp, hcm[y], hcm[x], hcm[w]))
-                hdec = _recurse(hcfg, "M3", trace).relabel(hlift)
+                hdec = hp.lift(_recurse(hcfg, "M3", trace))
     dec = hdec.union(*bridge_parts) if bridge_parts else hdec
     return dec.adjust(add_arcs=bridge_arcs)
 
@@ -491,8 +491,7 @@ def _claim3_separating(cfg: Configuration, goal: Goal, c0: tuple[int, ...],
     g = cfg.graph
     ep = ext_subgraph(g, c0)
     ecfg = _sub_config(ep, cfg.path)
-    d0 = _recurse(ecfg, goal, trace).relabel(
-        {c: ep.parent_of(c) for c in ep.graph.vertices()})
+    d0 = ep.lift(_recurse(ecfg, goal, trace))
     ip = int_subgraph(g, c0)
     p = len(c0)
     if p == 4:
@@ -526,11 +525,10 @@ def _extend_into_c4(g: PlaneGraph, ip: Piece, d0: Decomposition,
     gp = extract_piece(ig, keep, outer_parent_edge=oe)
     gg = gp.graph
     cm2 = gp.child_of
-    to_parent = {c: ip.parent_of(gp.parent_of(c)) for c in gg.vertices()}
     c4m = {p: cm2[icm[p]] for p in (v1, v2, v4)}
     quad = _quad_ending(gg, c4m[v4], c4m[v1], c4m[v2])
     sub = Configuration(gg, quad)
-    dprime = _recurse(sub, "M0", trace).relabel(to_parent)
+    dprime = ip.lift(gp.lift(_recurse(sub, "M0", trace)))
     u1 = dprime.matched_partner(v2)
     if u1 is not None:
         dprime = dprime.adjust(add_arcs=[(u1, v2)], drop_matching=[(u1, v2)])
@@ -552,10 +550,9 @@ def _extend_into_c5(g: PlaneGraph, ip: Piece, d0: Decomposition,
     gp = extract_piece(ig, keep, outer_parent_edge=oe)
     gg = gp.graph
     cm2 = gp.child_of
-    to_parent = {c: ip.parent_of(gp.parent_of(c)) for c in gg.vertices()}
     quad = tuple(cm2[icm[p]] for p in (v1, v2, v3, v4))
     sub = Configuration(gg, quad)
-    dprime = _recurse(sub, "M0", trace).relabel(to_parent)
+    dprime = ip.lift(gp.lift(_recurse(sub, "M0", trace)))
     for end in (v1, v4):
         partner = dprime.matched_partner(end)
         if partner is not None:
@@ -588,9 +585,8 @@ def _claim3_boundary_c4(cfg: Configuration, goal: Goal, trace: CaseTrace
     piece = extract_piece(g, keep, outer_parent_edge=(x, y))
     gg = piece.graph
     cm = piece.child_of
-    lift = {c: piece.parent_of(c) for c in gg.vertices()}
     quad = (gg.boundary_pred(cm[x]), cm[x], cm[y], cm[z])
-    dprime = _recurse(Configuration(gg, quad), "M0", trace).relabel(lift)
+    dprime = piece.lift(_recurse(Configuration(gg, quad), "M0", trace))
     u1 = dprime.matched_partner(z)
     if u1 is not None:
         dprime = dprime.adjust(add_arcs=[(u1, z)], drop_matching=[(u1, z)])
@@ -611,9 +607,8 @@ def _claim3_boundary_c5(cfg: Configuration, goal: Goal, trace: CaseTrace
     piece = extract_piece(g, keep, outer_parent_edge=(w, x))
     gg = piece.graph
     cm = piece.child_of
-    lift = {c: piece.parent_of(c) for c in gg.vertices()}
     quad = (cm[w], cm[x], cm[y], cm[z])
-    dprime = _recurse(Configuration(gg, quad), "M0", trace).relabel(lift)
+    dprime = piece.lift(_recurse(Configuration(gg, quad), "M0", trace))
     for end in (w, z):
         partner = dprime.matched_partner(end)
         if partner is not None:
@@ -631,24 +626,9 @@ def _claim3_boundary_c5(cfg: Configuration, goal: Goal, trace: CaseTrace
 def _chord_sides(g: PlaneGraph, u: int, v: int) -> tuple[Piece, Piece]:
     """Pieces of the chord split: (side containing the walk stretch v..u,
     side containing the stretch u..v)."""
-    vs = g.boundary_walk.vertices
-    k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
-    stretch_uv = []
-    i = pos[u]
-    while True:
-        stretch_uv.append(vs[i])
-        if vs[i] == v:
-            break
-        i = (i + 1) % k
-    stretch_vu = []
-    i = pos[v]
-    while True:
-        stretch_vu.append(vs[i])
-        if vs[i] == u:
-            break
-        i = (i + 1) % k
-    return int_subgraph(g, stretch_vu), int_subgraph(g, stretch_uv)
+    walk = g.boundary_walk
+    return (int_subgraph(g, walk.stretch(v, u)),
+            int_subgraph(g, walk.stretch(u, v)))
 
 
 def _claim4(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
@@ -667,12 +647,10 @@ def _claim4(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
             raise CounterexampleError(cfg, "chord split lost the path")
         scm = side_with_path.child_of
         sub1 = Configuration(side_with_path.graph, tuple(scm[p] for p in cfg.path))
-        d1 = _recurse(sub1, goal, trace).relabel(
-            {c: side_with_path.parent_of(c) for c in side_with_path.graph.vertices()})
+        d1 = side_with_path.lift(_recurse(sub1, goal, trace))
         ocm = other.child_of
         quad = walk_quad(other.graph, ocm[a], ocm[b])
-        d2 = _recurse(Configuration(other.graph, quad), "M0", trace).relabel(
-            {c: other.parent_of(c) for c in other.graph.vertices()})
+        d2 = other.lift(_recurse(Configuration(other.graph, quad), "M0", trace))
         return d1.union(d2)
     # every chord meets {x, y}
     return _claim4_case2(cfg, goal, trace)
@@ -684,32 +662,16 @@ def _y_chord_pieces(cfg: Configuration):
     g = cfg.graph
     w, x, y, z = cfg.path
     walk = g.boundary_walk
-    vs = walk.vertices
-    k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
+    k = len(walk)
+    pos = walk.position
     on_walk = walk.edge_set
     cand = [t for t in g.neighbors(y)
             if t not in (x, z) and t in walk.vertex_set and und(t, y) not in on_walk]
     if not cand:
         return None
     # minimise the z-side: first chord neighbour along the walk from z
-    best = min(cand, key=lambda t: (pos[t] - pos[z]) % k)
-    t = best
-    g1_cycle = []
-    i = pos[t]
-    while True:
-        g1_cycle.append(vs[i])
-        if vs[i] == y:
-            break
-        i = (i + 1) % k
-    g2_cycle = []
-    i = pos[y]
-    while True:
-        g2_cycle.append(vs[i])
-        if vs[i] == t:
-            break
-        i = (i + 1) % k
-    return int_subgraph(g, g1_cycle), int_subgraph(g, g2_cycle), t
+    t = min(cand, key=lambda t: (pos[t] - pos[z]) % k)
+    return (*_chord_sides(g, y, t), t)
 
 
 def _claim4_case2(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
@@ -744,11 +706,9 @@ def _case2_m0(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     g1p, g2p, t = _y_chord_pieces(cfg)
     cm1, cm2 = g1p.child_of, g2p.child_of
     sub1 = Configuration(g1p.graph, (cm1[w], cm1[x], cm1[y], cm1[t]))
-    d1 = _recurse(sub1, "M0", trace).relabel(
-        {c: g1p.parent_of(c) for c in g1p.graph.vertices()})
+    d1 = g1p.lift(_recurse(sub1, "M0", trace))
     quad2 = walk_quad(g2p.graph, cm2[t], cm2[y])
-    d2 = _recurse(Configuration(g2p.graph, quad2), "M0", trace).relabel(
-        {c: g2p.parent_of(c) for c in g2p.graph.vertices()})
+    d2 = g2p.lift(_recurse(Configuration(g2p.graph, quad2), "M0", trace))
     return d1.union(d2)
 
 
@@ -764,12 +724,10 @@ def _case2_m1(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     cm1, cm2 = g1p.child_of, g2p.child_of
     zp = g.boundary_succ(z)
     sub2 = Configuration(g2p.graph, (cm2[t], cm2[y], cm2[z], cm2[zp]))
-    d2 = _recurse(sub2, "M0", trace).relabel(
-        {c: g2p.parent_of(c) for c in g2p.graph.vertices()})
+    d2 = g2p.lift(_recurse(sub2, "M0", trace))
 
     g1g = g1p.graph
     sub1 = Configuration(g1g, (cm1[w], cm1[x], cm1[y], cm1[t]))
-    lift1 = {c: g1p.parent_of(c) for c in g1g.vertices()}
     h1chords = chords(g1g)
     if any(set(e) & {cm1[x], cm1[y]} for e in h1chords):
         d1 = _recurse(sub1, "M1", trace)
@@ -784,17 +742,15 @@ def _case2_m1(cfg: Configuration, trace: CaseTrace) -> Decomposition:
                 d1 = decompose_special(df, ClauseRequest("1002,0000"))
             else:
                 d1 = decompose_special(dr, ClauseRequest("2001,0000"))
-    d1 = d1.relabel(lift1)
-    return d1.union(d2).adjust(add_arcs=[(z, y)])
+    return g1p.lift(d1).union(d2).adjust(add_arcs=[(z, y)])
 
 
 def _case2_m3(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     g = cfg.graph
     w, x, y, z = cfg.path
     walk = g.boundary_walk
-    vs = walk.vertices
-    k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
+    k = len(walk)
+    pos = walk.position
     on_walk = walk.edge_set
     x_chords = [t for t in g.neighbors(x)
                 if t not in (w, y) and t in walk.vertex_set
@@ -802,60 +758,38 @@ def _case2_m3(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     if x_chords:
         # split at a chord of x: the z side keeps the goal
         t = min(x_chords, key=lambda t: (pos[x] - pos[t]) % k)
-        zcycle = []
-        i = pos[x]
-        while True:
-            zcycle.append(vs[i])
-            if vs[i] == t:
-                break
-            i = (i + 1) % k
-        wcycle = []
-        i = pos[t]
-        while True:
-            wcycle.append(vs[i])
-            if vs[i] == x:
-                break
-            i = (i + 1) % k
-        zp_, wp_ = int_subgraph(g, zcycle), int_subgraph(g, wcycle)
+        zp_, wp_ = _chord_sides(g, t, x)
         zcm, wcm = zp_.child_of, wp_.child_of
         sub_z = Configuration(zp_.graph, (zcm[t], zcm[x], zcm[y], zcm[z]))
-        d1 = _recurse(sub_z, "M3", trace).relabel(
-            {c: zp_.parent_of(c) for c in zp_.graph.vertices()})
+        d1 = zp_.lift(_recurse(sub_z, "M3", trace))
         quad = walk_quad(wp_.graph, wcm[x], wcm[t])
-        d2 = _recurse(Configuration(wp_.graph, quad), "M0", trace).relabel(
-            {c: wp_.parent_of(c) for c in wp_.graph.vertices()})
+        d2 = wp_.lift(_recurse(Configuration(wp_.graph, quad), "M0", trace))
         return d1.union(d2)
     pieces = _y_chord_pieces(cfg)
     if pieces is None:
         raise CounterexampleError(cfg, "claim 4 reached without chords at x or y")
     g1p, g2p, t = pieces
     cm1, cm2 = g1p.child_of, g2p.child_of
-    lift1 = {c: g1p.parent_of(c) for c in g1p.graph.vertices()}
-    lift2 = {c: g2p.parent_of(c) for c in g2p.graph.vertices()}
-    tpred = _pred_on_piece(g2p.graph, cm2[t])
+    tpred = g2p.graph.boundary_pred(cm2[t])
     sub2 = Configuration(g2p.graph, (tpred, cm2[t], cm2[y], cm2[z]))
     d2r = recognize(sub2)
     if d2r is None or not d2r.in_R():
-        d2 = _recurse(sub2, "M3", trace).relabel(lift2)
+        d2 = g2p.lift(_recurse(sub2, "M3", trace))
         sub1 = Configuration(g1p.graph, (cm1[w], cm1[x], cm1[y], cm1[t]))
-        d1 = _recurse(sub1, "M0", trace).relabel(lift1)
+        d1 = g1p.lift(_recurse(sub1, "M0", trace))
         return d1.union(d2)
     # the z side is an R-configuration: take its (1001,1100)-decomposition
     trace.add("SpecialFamily", f"claim4-M3 {d2r.tag}")
-    d2 = decompose_special(d2r, ClauseRequest("1001,1100")).relabel(lift2)
+    d2 = g2p.lift(decompose_special(d2r, ClauseRequest("1001,1100")))
     sub1r = Configuration(g1p.graph, (cm1[t], cm1[y], cm1[x], cm1[w]))
     d1r = recognize(sub1r)
     if d1r is not None and d1r.tag in ("R2", "P1", "P2", "P3"):
-        d1 = decompose_special(d1r, ClauseRequest("1001,0001", "zz+")).relabel(lift1)
+        d1 = g1p.lift(decompose_special(d1r, ClauseRequest("1001,0001", "zz+")))
         return d1.union(d2)
     # fall back: far side unmatched at t via M2/M1-style production
     sub1 = Configuration(g1p.graph, (cm1[w], cm1[x], cm1[y], cm1[t]))
-    d1 = _recurse(sub1, "M2", trace).relabel(lift1)
+    d1 = g1p.lift(_recurse(sub1, "M2", trace))
     return d1.union(d2)
-
-
-def _pred_on_piece(g: PlaneGraph, v: int) -> int:
-    return g.boundary_pred(v)
 
 
 # ---------------------------------------------------------------------------
@@ -942,9 +876,9 @@ def resolve_two_chords(cfg: Configuration, trace: CaseTrace
 
 def _fan(g: PlaneGraph, u: int, start: int) -> list[int]:
     """u's boundary neighbours in walk order starting at start."""
-    vs = g.boundary_walk.vertices
-    k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
+    walk = g.boundary_walk
+    k = len(walk)
+    pos = walk.position
     nbrs = [q for q in g.neighbors(u) if q in pos]
     return sorted(nbrs, key=lambda q: (pos[q] - pos[start]) % k)
 
@@ -956,23 +890,11 @@ def _claim6(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
         raise CounterexampleError(cfg, "claim 6 with busy centre vertices")
     fan = _fan(g, u, z)
     assert fan[0] == z and fan[-1] == w, "wuz fan must run from z to w"
-    vs = g.boundary_walk.vertices
-    k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
-
-    def stretch(a: int, b: int) -> list[int]:
-        out = []
-        i = pos[a]
-        while True:
-            out.append(vs[i])
-            if vs[i] == b:
-                break
-            i = (i + 1) % k
-        return out
-
+    walk = g.boundary_walk
+    vs = walk.vertices
     pieces = []
     for i in range(len(fan) - 1):
-        cyc = stretch(fan[i], fan[i + 1]) + [u]
+        cyc = walk.stretch(fan[i], fan[i + 1]) + (u,)
         pieces.append(int_subgraph(g, cyc))
     # find a fan piece that is not an R-configuration
     chosen = None
@@ -989,31 +911,28 @@ def _claim6(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
         raise CounterexampleError(cfg, "every wuz fan piece is an R-configuration")
     i, piece, sub = chosen
     xi, xi1 = fan[i], fan[i + 1]
-    d_i = _recurse(sub, "M3", trace).relabel(
-        {c: piece.parent_of(c) for c in piece.graph.vertices()})
+    d_i = piece.lift(_recurse(sub, "M3", trace))
     if xi1 == w:
         # no left part: the added arc (u, w) takes over the edge u-w,
         # freeing w's budget for (w, x)
         d_i = _drop_edge_coverage(d_i, und(u, w))
     parts = [d_i]
     if xi1 != w:
-        lcyc = stretch(xi1, w) + [u]
+        lcyc = walk.stretch(xi1, w) + (u,)
         lp = int_subgraph(g, lcyc)
         lcm = lp.child_of
         subl = Configuration(lp.graph,
                              (lp.graph.boundary_pred(lcm[w]), lcm[w], lcm[u],
                               lcm[xi1]))
-        parts.append(_recurse(subl, "M0", trace).relabel(
-            {c: lp.parent_of(c) for c in lp.graph.vertices()}))
+        parts.append(lp.lift(_recurse(subl, "M0", trace)))
     if xi != z:
-        rcyc = stretch(z, xi) + [u]
+        rcyc = walk.stretch(z, xi) + (u,)
         rp = int_subgraph(g, rcyc)
         rcm = rp.child_of
         subr = Configuration(rp.graph,
                              (rcm[xi], rcm[u], rcm[z],
                               rp.graph.boundary_succ(rcm[z])))
-        parts.append(_recurse(subr, "M0", trace).relabel(
-            {c: rp.parent_of(c) for c in rp.graph.vertices()}))
+        parts.append(rp.lift(_recurse(subr, "M0", trace)))
     dec = parts[0].union(*parts[1:])
     return dec.adjust(add_arcs=[(u, w), (w, x), (u, z), (z, y)])
 
@@ -1028,19 +947,8 @@ def _claim7(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     g = cfg.graph
     w, x, y, z = cfg.path
     mids = sorted({m for (a, m, b) in two_chords(g) if y in (a, b)})
-    vs = g.boundary_walk.vertices
-    k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
-
-    def stretch(a: int, b: int) -> list[int]:
-        out = []
-        i = pos[a]
-        while True:
-            out.append(vs[i])
-            if vs[i] == b:
-                break
-            i = (i + 1) % k
-        return out
+    walk = g.boundary_walk
+    vs = walk.vertices
 
     # sub-case A across all 2-chord middles: some bottom fan piece is not R
     fans = {}
@@ -1049,7 +957,7 @@ def _claim7(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         assert fan[0] == y
         fans[u] = fan
         for i in range(len(fan) - 1):
-            cyc = stretch(fan[i], fan[i + 1]) + [u]
+            cyc = walk.stretch(fan[i], fan[i + 1]) + (u,)
             piece = int_subgraph(g, cyc)
             pcm = piece.child_of
             sub = Configuration(
@@ -1062,7 +970,7 @@ def _claim7(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     u = mids[0]
     fan = fans[u]
     xr = fan[-1]
-    top_len = len(stretch(xr, y)) + 1
+    top_len = len(walk.stretch(xr, y)) + 1
     if top_len == 4:
         raise CounterexampleError(cfg, "all-R fan with a 4-cycle top piece "
                                        "(an R(yxw)-configuration would exist)")
@@ -1076,23 +984,11 @@ def _claim7_split(cfg: Configuration, u: int, fan: list[int], i: int,
                   trace: CaseTrace) -> Decomposition:
     g = cfg.graph
     w, x, y, z = cfg.path
-    vs = g.boundary_walk.vertices
-    k = len(vs)
-    pos = {p: i2 for i2, p in enumerate(vs)}
-
-    def stretch(a: int, b: int) -> list[int]:
-        out = []
-        j = pos[a]
-        while True:
-            out.append(vs[j])
-            if vs[j] == b:
-                break
-            j = (j + 1) % k
-        return out
-
+    walk = g.boundary_walk
+    vs = walk.vertices
     xi, xi1, xr = fan[i], fan[i + 1], fan[-1]
     parts = []
-    piece = int_subgraph(g, stretch(xi, xi1) + [u])
+    piece = int_subgraph(g, walk.stretch(xi, xi1) + (u,))
     pcm = piece.child_of
     sub = Configuration(piece.graph,
                         (pcm[_succ_in(vs, xi)], pcm[xi], pcm[u], pcm[xi1]))
@@ -1101,30 +997,26 @@ def _claim7_split(cfg: Configuration, u: int, fan: list[int], i: int,
         d_i = _claim7_g0(sub, trace)
     else:
         d_i = _recurse(sub, "M3", trace)
-    d_i = d_i.relabel({c: piece.parent_of(c) for c in piece.graph.vertices()})
-    parts.append(d_i)
+    parts.append(piece.lift(d_i))
     if xi1 != xr:
-        lp = int_subgraph(g, stretch(xi1, xr) + [u])
+        lp = int_subgraph(g, walk.stretch(xi1, xr) + (u,))
         lcm = lp.child_of
         subl = Configuration(lp.graph,
                              (lcm[xi1], lcm[u], lcm[xr],
                               lp.graph.boundary_pred(lcm[xr])))
-        parts.append(_recurse(subl, "M0", trace).relabel(
-            {c: lp.parent_of(c) for c in lp.graph.vertices()}))
+        parts.append(lp.lift(_recurse(subl, "M0", trace)))
     if xi != y:
-        rp = int_subgraph(g, stretch(y, xi) + [u])
+        rp = int_subgraph(g, walk.stretch(y, xi) + (u,))
         rcm = rp.child_of
         subr = Configuration(rp.graph,
                              (rcm[u], rcm[y], rcm[z],
                               rp.graph.boundary_succ(rcm[z])))
-        parts.append(_recurse(subr, "M0", trace).relabel(
-            {c: rp.parent_of(c) for c in rp.graph.vertices()}))
+        parts.append(rp.lift(_recurse(subr, "M0", trace)))
     # top piece: (1002,0000) by the chord-free case analysis
-    tp = int_subgraph(g, stretch(xr, y) + [u])
+    tp = int_subgraph(g, walk.stretch(xr, y) + (u,))
     tcm = tp.child_of
-    dt = _claim7_top_1002(
-        Configuration(tp.graph, (tcm[w], tcm[x], tcm[y], tcm[u])), trace
-    ).relabel({c: tp.parent_of(c) for c in tp.graph.vertices()})
+    dt = tp.lift(_claim7_top_1002(
+        Configuration(tp.graph, (tcm[w], tcm[x], tcm[y], tcm[u])), trace))
     rest = parts[0].union(*parts[1:]).adjust(add_arcs=[(z, y)])
     if xi1 != xr:
         return rest.union(dt)
@@ -1154,13 +1046,12 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
     piece = extract_piece(g, keep, outer_parent_edge=(w, x))
     gg = piece.graph
     cm = piece.child_of
-    lift = {c: piece.parent_of(c) for c in gg.vertices()}
     sub = Configuration(gg, (cm[w], cm[x], cm[u], cm[z]))
     if not chords(gg):
         df = recognize(sub)
         dr = recognize(full_reverse(sub))
         if df is None and dr is None:
-            dprime = _recurse(sub, "M2", trace).relabel(lift)
+            dprime = piece.lift(_recurse(sub, "M2", trace))
             if (z, u) not in dprime.arcs:
                 raise CounterexampleError(cfg, "missing forced arc (z, u)")
             return dprime.adjust(drop_arcs=[(z, u)],
@@ -1182,7 +1073,7 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
     dec = _tiny_search(sorted(gg.edges), out_cap, forbid_match=forbid)
     if dec is None:
         raise CounterexampleError(cfg, "x-z two-chord search failed")
-    return dec.relabel(lift).adjust(add_arcs=[(z, y)])
+    return piece.lift(dec).adjust(add_arcs=[(z, y)])
 
 
 def _claim7_g0(sub: Configuration, trace: CaseTrace) -> Decomposition:
@@ -1233,27 +1124,13 @@ def _claim7_top(cfg: Configuration, u: int, fan: list[int], trace: CaseTrace
     """|C_r| >= 6: bottom fan is a Q member; the top needs (1001,0001)."""
     g = cfg.graph
     w, x, y, z = cfg.path
-    vs = g.boundary_walk.vertices
-    k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
-
-    def stretch(a: int, b: int) -> list[int]:
-        out = []
-        j = pos[a]
-        while True:
-            out.append(vs[j])
-            if vs[j] == b:
-                break
-            j = (j + 1) % k
-        return out
-
+    walk = g.boundary_walk
     xr = fan[-1]
     # bottom: the whole fan region on the path (z, y, u, x_r): a chain of the
     # R pieces, so a Q member for r >= 2 and an R member for r = 1
-    wp = int_subgraph(g, stretch(y, xr) + [u])
+    wp = int_subgraph(g, walk.stretch(y, xr) + (u,))
     wcm = wp.child_of
-    wlift = {c: wp.parent_of(c) for c in wp.graph.vertices()}
-    z_ = _succ_in(vs, y)
+    z_ = _succ_in(walk.vertices, y)
     sub_w = Configuration(wp.graph, (wcm[z_], wcm[y], wcm[u], wcm[xr]))
     qd = recognize(sub_w)
     if qd is None or qd.in_P():
@@ -1263,14 +1140,13 @@ def _claim7_top(cfg: Configuration, u: int, fan: list[int], trace: CaseTrace
     else:
         w_clauses = [ClauseRequest("1001,0011", "yz"), ClauseRequest("1011,0000")]
     # top piece
-    tp = int_subgraph(g, stretch(xr, y) + [u])
+    tp = int_subgraph(g, walk.stretch(xr, y) + (u,))
     tcm = tp.child_of
-    tlift = {c: tp.parent_of(c) for c in tp.graph.vertices()}
     subt = Configuration(tp.graph, (tcm[w], tcm[x], tcm[y], tcm[u]))
-    dt = _claim7_top_0001(subt, trace).relabel(tlift)
+    dt = tp.lift(_claim7_top_0001(subt, trace))
     spec = goal_spec("M2", cfg)
     for wcl in w_clauses:
-        d_w = decompose_special(qd, wcl).relabel(wlift)
+        d_w = wp.lift(decompose_special(qd, wcl))
         for dec in (_dedup_shared_edge(dt, d_w, und(u, xr)),
                     _dedup_shared_edge(d_w, dt, und(u, xr))):
             if dec is not None and verify(g, cfg.path, spec, dec):
@@ -1352,9 +1228,10 @@ def build_cstar(cfg: Configuration) -> list[int]:
     """w_1 = y, ..., w_s = x: boundary steps, hopping over maximal 2-chords."""
     g = cfg.graph
     w, x, y, z = cfg.path
-    vs = g.boundary_walk.vertices
+    walk = g.boundary_walk
+    vs = walk.vertices
     k = len(vs)
-    pos = {p: i for i, p in enumerate(vs)}
+    pos = walk.position
     tch = two_chords(g)
     seq = [y]
     cur = y
@@ -1490,7 +1367,8 @@ def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     """C* = B_G: delete the boundary except x, y and orient it back."""
     g = cfg.graph
     w, x, y, z = cfg.path
-    vs = g.boundary_walk.vertices
+    walk = g.boundary_walk
+    vs = walk.vertices
     k = len(vs)
     if k < 6:
         raise CounterexampleError(cfg, "short chordless boundary in claim 8")
@@ -1498,11 +1376,9 @@ def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     piece = extract_piece(g, keep, outer_parent_edge=(x, y))
     gg = piece.graph
     cm = piece.child_of
-    lift = {c: piece.parent_of(c) for c in gg.vertices()}
-    dprime = _anchored_m0(gg, cm[x], cm[y], trace).relabel(lift)
+    dprime = piece.lift(_anchored_m0(gg, cm[x], cm[y], trace))
     # an edge v_ -> u_ of the walk away from the path: forward from u_
     # reaches x, backward from v_ reaches y
-    pos = {p: i for i, p in enumerate(vs)}
     pick = None
     for i in range(k):
         a, b = vs[i], vs[(i + 1) % k]
@@ -1512,22 +1388,17 @@ def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     if pick is None:
         raise CounterexampleError(cfg, "no boundary edge away from the path")
     v_, u_ = pick
-    arcs: list[Edge] = []
-    i = pos[u_]
-    while vs[i] != x:
-        arcs.append((vs[i], vs[(i + 1) % k]))
-        i = (i + 1) % k
-    i = pos[v_]
-    while vs[i] != y:
-        arcs.append((vs[i], vs[(i - 1) % k]))
-        i = (i - 1) % k
+    ahead = walk.stretch(u_, x)
+    behind = walk.stretch(y, v_)  # the boundary is a simple cycle here
+    arcs = (list(zip(ahead, ahead[1:]))
+            + [(q, p) for p, q in zip(behind, behind[1:])])
     cross = []
     for c in set(gg.boundary_walk.vertices):
         p = piece.parent_of(c)
         if p in (x, y):
             continue
         for q in g.neighbors(p):
-            if q in pos:
+            if q in g.boundary_vertices:
                 cross.append((p, q))
     return dprime.adjust(add_arcs=arcs + cross, add_matching=[(u_, v_)])
 
@@ -1542,11 +1413,10 @@ def _anchored_0000(piece: Piece, g: PlaneGraph, w: int, x: int, y: int,
     budget already committed outside the piece (cross arcs to be added)."""
     gg = piece.graph
     cm = piece.child_of
-    lift = {c: piece.parent_of(c) for c in gg.vertices()}
     try:
         yp = gg.boundary_succ(cm[y])
         sub = Configuration(gg, (cm[w], cm[x], cm[y], yp))
-        return _obs_0000(sub, trace).relabel(lift)
+        return piece.lift(_obs_0000(sub, trace))
     except PlaneGraphError:
         pass
     if gg.m > 24:
@@ -1568,7 +1438,7 @@ def _anchored_0000(piece: Piece, g: PlaneGraph, w: int, x: int, y: int,
                        forbid_match={cm[w], cm[x], cm[y]})
     if dec is None:
         raise CounterexampleError(_as_cfg(g), "anchored piece search failed")
-    return dec.relabel(lift)
+    return piece.lift(dec)
 
 
 def _obs_0000(sub: Configuration, trace: CaseTrace) -> Decomposition:
@@ -1586,50 +1456,33 @@ def _claim9(cfg: Configuration, seq: list[int], i: int, j: int,
     g = cfg.graph
     w, x, y, z = cfg.path
     wi, wj = seq[i], seq[j]
-    vs = g.boundary_walk.vertices
-    pos = {p: t for t, p in enumerate(vs)}
-    k = len(vs)
-
-    def stretch(a: int, b: int) -> list[int]:
-        out = []
-        t = pos[a]
-        while True:
-            out.append(vs[t])
-            if vs[t] == b:
-                break
-            t = (t + 1) % k
-        return out
-
+    walk = g.boundary_walk
     wim, wip = seq[i - 1], seq[i + 1]
     wjm, wjp = seq[j - 1], seq[j + 1]
-    outer_cycle = stretch(wjp, wim) + [wi, wj]
-    inner_cycle = stretch(wip, wjm) + [wj, wi]
+    outer_cycle = walk.stretch(wjp, wim) + (wi, wj)
+    inner_cycle = walk.stretch(wip, wjm) + (wj, wi)
     gp = int_subgraph(g, outer_cycle)
     g2 = int_subgraph(g, inner_cycle)
-    gcm, icm = gp.child_of, g2.child_of
-    glift = {c: gp.parent_of(c) for c in gp.graph.vertices()}
-    ilift = {c: g2.parent_of(c) for c in g2.graph.vertices()}
-    dprime = _obs_0000(_sub_config(gp, cfg.path), trace).relabel(glift)
+    icm = g2.child_of
+    dprime = gp.lift(_obs_0000(_sub_config(gp, cfg.path), trace))
     if (wi, wj) in dprime.arcs:
         wi, wj = wj, wi
         wim, wip, wjm, wjp = wjm, wjp, wim, wip
-    gi = int_subgraph(g, stretch(wim, wip) + [wi])
-    gj = int_subgraph(g, stretch(wjm, wjp) + [wj])
+    gi = int_subgraph(g, walk.stretch(wim, wip) + (wi,))
+    gj = int_subgraph(g, walk.stretch(wjm, wjp) + (wj,))
     gicm, gjcm = gi.child_of, gj.child_of
     subi = Configuration(gi.graph, (gicm[wip], gicm[wi], gicm[wim],
                                     gi.graph.boundary_succ(gicm[wim])))
-    di = _recurse(subi, "M0", trace).relabel(
-        {c: gi.parent_of(c) for c in gi.graph.vertices()})
+    di = gi.lift(_recurse(subi, "M0", trace))
     subj = Configuration(gj.graph, (gjcm[wjm], gjcm[wj], gjcm[wjp],
                                     gj.graph.boundary_pred(gjcm[wjp])))
-    dj = _recurse(subj, "M0", trace).relabel(
-        {c: gj.parent_of(c) for c in gj.graph.vertices()})
+    dj = gj.lift(_recurse(subj, "M0", trace))
     di = di.adjust(drop_arcs=[(wip, wi)])
     dj = dj.adjust(drop_arcs=[(wjm, wj)])
     # directed-path dichotomy on G''
     has_path = _reaches(dprime, wi, wj)
     subg2 = Configuration(g2.graph, (icm[wjm], icm[wj], icm[wi], icm[wip]))
-    d2 = _gpp_both(subg2, "1011" if has_path else "1101", trace).relabel(ilift)
+    d2 = g2.lift(_gpp_both(subg2, "1011" if has_path else "1101", trace))
     return dprime.union(d2, di, dj)
 
 
@@ -1671,41 +1524,23 @@ def _claim10(cfg: Configuration, seq: list[int], i: int, j: int,
     wi, wj = seq[i], seq[j]
     wim, wip = seq[i - 1], seq[i + 1]
     wjm, wjp = seq[j - 1], seq[j + 1]
-    vs = g.boundary_walk.vertices
-    pos = {p: t for t, p in enumerate(vs)}
-    k = len(vs)
-
-    def stretch(a: int, b: int) -> list[int]:
-        out = []
-        t = pos[a]
-        while True:
-            out.append(vs[t])
-            if vs[t] == b:
-                break
-            t = (t + 1) % k
-        return out
-
-    run = stretch(wip, wjm)
+    walk = g.boundary_walk
+    run = walk.stretch(wip, wjm)
     gpp_verts = (set(g.vertices())
                  - _fan_interior(g, wim, wi, wip) - _fan_interior(g, wjm, wj, wjp)
                  - set(run))
     piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
     gg = piece.graph
-    lift = {c: piece.parent_of(c) for c in gg.vertices()}
-    dpp = _obs_0000(_sub_config(piece, cfg.path), trace).relabel(lift)
-    gi = int_subgraph(g, stretch(wim, wip) + [wi])
-    gj = int_subgraph(g, stretch(wjm, wjp) + [wj])
+    dpp = piece.lift(_obs_0000(_sub_config(piece, cfg.path), trace))
+    gi = int_subgraph(g, walk.stretch(wim, wip) + (wi,))
+    gj = int_subgraph(g, walk.stretch(wjm, wjp) + (wj,))
     gicm, gjcm = gi.child_of, gj.child_of
     subi = Configuration(gi.graph, (gicm[wip], gicm[wi], gicm[wim],
                                     gi.graph.boundary_succ(gicm[wim])))
-    di = _recurse(subi, "M0", trace).relabel(
-        {c: gi.parent_of(c) for c in gi.graph.vertices()}).adjust(
-        drop_arcs=[(wip, wi)])
+    di = gi.lift(_recurse(subi, "M0", trace)).adjust(drop_arcs=[(wip, wi)])
     subj = Configuration(gj.graph, (gjcm[wjm], gjcm[wj], gjcm[wjp],
                                     gj.graph.boundary_pred(gjcm[wjp])))
-    dj = _recurse(subj, "M0", trace).relabel(
-        {c: gj.parent_of(c) for c in gj.graph.vertices()}).adjust(
-        drop_arcs=[(wjm, wj)])
+    dj = gj.lift(_recurse(subj, "M0", trace)).adjust(drop_arcs=[(wjm, wj)])
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
     cross: list[Edge] = []
     run_set = set(run)
@@ -1721,17 +1556,7 @@ def _fan_interior(g: PlaneGraph, a: int, u: int, b: int) -> set[int]:
     """Vertices strictly inside the fan region Int(B[a,b] + b-u-a) together
     with the open boundary stretch between a and b (everything the fan piece
     owns exclusively)."""
-    vs = g.boundary_walk.vertices
-    pos = {p: t for t, p in enumerate(vs)}
-    k = len(vs)
-    cyc = []
-    t = pos[a]
-    while True:
-        cyc.append(vs[t])
-        if vs[t] == b:
-            break
-        t = (t + 1) % k
-    cyc.append(u)
+    cyc = g.boundary_walk.stretch(a, b) + (u,)
     inner, _ = cycle_sides(g, cyc)
     return inner | (set(cyc) - {a, u, b})
 
@@ -1742,21 +1567,8 @@ def _claim11(cfg: Configuration, seq: list[int], i: int, trace: CaseTrace
     w, x, y, z = cfg.path
     wi = seq[i]
     wim, wip = seq[i - 1], seq[i + 1]
-    vs = g.boundary_walk.vertices
-    pos = {p: t for t, p in enumerate(vs)}
-    k = len(vs)
-
-    def stretch(a: int, b: int) -> list[int]:
-        out = []
-        t = pos[a]
-        while True:
-            out.append(vs[t])
-            if vs[t] == b:
-                break
-            t = (t + 1) % k
-        return out
-
-    run = stretch(z, wim)
+    walk = g.boundary_walk
+    run = walk.stretch(z, wim)
     run_set0 = set(run)
     gpp_verts = set(g.vertices()) - _fan_interior(g, wim, wi, wip) - run_set0
     piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
@@ -1768,13 +1580,11 @@ def _claim11(cfg: Configuration, seq: list[int], i: int, trace: CaseTrace
         if k_res:
             reserved[p] = k_res
     dpp = _anchored_0000(piece, g, w, x, y, trace, reserved=reserved)
-    gi = int_subgraph(g, stretch(wim, wip) + [wi])
+    gi = int_subgraph(g, walk.stretch(wim, wip) + (wi,))
     gicm = gi.child_of
     subi = Configuration(gi.graph, (gicm[wim], gicm[wi], gicm[wip],
                                     gi.graph.boundary_pred(gicm[wip])))
-    di = _recurse(subi, "M0", trace).relabel(
-        {c: gi.parent_of(c) for c in gi.graph.vertices()})
-    di = di.adjust(drop_arcs=[(wim, wi)])
+    di = gi.lift(_recurse(subi, "M0", trace)).adjust(drop_arcs=[(wim, wi)])
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
     path_arcs.append((z, y))
     cross: list[Edge] = []
@@ -1793,55 +1603,39 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
     w, x, y, z = cfg.path
     w3, w4, w5 = seq[2], seq[3], seq[4]
     w6 = seq[5]
-    vs = g.boundary_walk.vertices
-    pos = {p: t for t, p in enumerate(vs)}
-    k = len(vs)
-
-    def stretch(a: int, b: int) -> list[int]:
-        out = []
-        t = pos[a]
-        while True:
-            out.append(vs[t])
-            if vs[t] == b:
-                break
-            t = (t + 1) % k
-        return out
-
+    walk = g.boundary_walk
     g3_inner = _fan_interior(g, z, w3, w4)
     g5_inner = _fan_interior(g, w4, w5, w6)
     gpp_verts = set(g.vertices()) - g3_inner - g5_inner - {w4}
     piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
     gg = piece.graph
-    lift = {c: piece.parent_of(c) for c in gg.vertices()}
-    dpp = _obs_0000(_sub_config(piece, cfg.path), trace).relabel(lift)
+    dpp = piece.lift(_obs_0000(_sub_config(piece, cfg.path), trace))
     if (z, w3) in dpp.arcs:
         # z's single permitted out-arc; safe to point it back at z
         dpp = dpp.adjust(drop_arcs=[(z, w3)], add_arcs=[(w3, z)])
     if (w3, z) not in dpp.arcs:
         raise CounterexampleError(cfg, "w3 cannot point at z in the final step")
     # G3 towards (z+ z w3 w4), needs (1011,1000)
-    g3 = int_subgraph(g, stretch(z, w4) + [w3])
+    g3 = int_subgraph(g, walk.stretch(z, w4) + (w3,))
     g3cm = g3.child_of
-    g3lift = {c: g3.parent_of(c) for c in g3.graph.vertices()}
-    sub3 = Configuration(g3.graph, (g3cm[_succ_in(vs, z)], g3cm[z],
+    sub3 = Configuration(g3.graph, (g3cm[_succ_in(walk.vertices, z)], g3cm[z],
                                     g3cm[w3], g3cm[w4]))
     d3r = recognize(sub3)
     if d3r is not None and d3r.in_R():
         trace.add("SpecialFamily", f"final {d3r.tag}")
-        d3 = decompose_special(d3r, ClauseRequest("1011,0000")).relabel(g3lift)
+        d3 = g3.lift(decompose_special(d3r, ClauseRequest("1011,0000")))
     else:
-        d3 = _recurse(sub3, "M3", trace).relabel(g3lift)
-    g5 = int_subgraph(g, stretch(w4, w6) + [w5])
+        d3 = g3.lift(_recurse(sub3, "M3", trace))
+    g5 = int_subgraph(g, walk.stretch(w4, w6) + (w5,))
     g5cm = g5.child_of
     sub5 = Configuration(g5.graph, (g5.graph.boundary_pred(g5cm[w6]), g5cm[w6],
                                     g5cm[w5], g5cm[w4]))
-    d5 = _recurse(sub5, "M0", trace).relabel(
-        {c: g5.parent_of(c) for c in g5.graph.vertices()})
+    d5 = g5.lift(_recurse(sub5, "M0", trace))
     if (w4, w5) not in d5.arcs:
         raise CounterexampleError(cfg, "expected forced arc (w4, w5)")
     d5 = d5.adjust(drop_arcs=[(w4, w5)])
     cross = []
-    bset = {piece.parent_of(c) for c in gg.boundary_walk.vertices}
+    bset = set(map(piece.parent_of, gg.boundary_walk.vertices))
     for p in g.neighbors(w4):
         if p in bset:
             cross.append((p, w4))
@@ -1869,20 +1663,9 @@ def decompose_21(g: PlaneGraph) -> tuple[Decomposition, CaseTrace]:
     parts: list[Decomposition] = []
     for piece in component_pieces(g):
         pg = piece.graph
-        lift = {c: piece.parent_of(c) for c in pg.vertices()}
         if pg.m == pg.n - 1:  # a tree: orient towards vertex 1
-            arcs = []
-            parent: dict[int, int | None] = {1: None}
-            stack = [1]
-            while stack:
-                p = stack.pop()
-                for q in pg.neighbors(p):
-                    if q not in parent:
-                        parent[q] = p
-                        arcs.append((q, p))
-                        stack.append(q)
             trace.add("Tree", f"n={pg.n}")
-            parts.append(Decomposition.of(arcs).relabel(lift))
+            parts.append(piece.lift(Decomposition.of(_orient_tree(pg, 1))))
             continue
         quad = find_boundary_path(pg)
         if quad is None:
@@ -1890,7 +1673,7 @@ def decompose_21(g: PlaneGraph) -> tuple[Decomposition, CaseTrace]:
         cfg = Configuration(pg, quad)
         dec, _ = decompose_config(cfg, "M0", trace)
         dec = dec.adjust(add_arcs=[(quad[1], quad[2])])
-        parts.append(dec.relabel(lift))
+        parts.append(piece.lift(dec))
     dec = parts[0].union(*parts[1:]) if parts else Decomposition.of()
     rep = verify_21(g, dec)
     if not rep:

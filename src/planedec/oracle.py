@@ -151,8 +151,6 @@ def abstract_graphs_edge_subsets(n: int) -> list[nx.Graph]:
     chosen: list[Edge] = []
 
     def rec(i: int) -> None:
-        if len(chosen) + (len(pairs) - i) >= n - 1 and len(chosen) <= max_m:
-            pass
         if i == len(pairs):
             if len(chosen) >= n - 1:
                 G = _nx_from_edges(n, chosen)
@@ -398,59 +396,6 @@ def brute_force(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
     if mode == "count":
         return count
     return results
-
-
-def brute_force_21(g: PlaneGraph, mode: Literal["exists", "count"] = "exists",
-                   edge_cap: int = 18):
-    """Whole-graph (2,1)-decomposition search (no boundary caps)."""
-    edges = sorted(g.edges)
-    if len(edges) > edge_cap:
-        raise PlaneGraphError(f"{len(edges)} edges exceeds brute-force cap {edge_cap}")
-    outdeg = {v: 0 for v in g.vertices()}
-    matched: set[int] = set()
-    arcs: list[Edge] = []
-    count = 0
-
-    def acyclic() -> bool:
-        return Decomposition.of(arcs).find_cycle() is None
-
-    def rec(i: int) -> bool:
-        nonlocal count
-        if i == len(edges):
-            if acyclic():
-                count += 1
-                return mode == "exists"
-            return False
-        u, v = edges[i]
-        for kind in (FWD, BWD, MAT):
-            if kind == FWD and outdeg[u] >= 2:
-                continue
-            if kind == BWD and outdeg[v] >= 2:
-                continue
-            if kind == MAT and (u in matched or v in matched):
-                continue
-            if kind == FWD:
-                outdeg[u] += 1
-                arcs.append((u, v))
-            elif kind == BWD:
-                outdeg[v] += 1
-                arcs.append((v, u))
-            else:
-                matched.update((u, v))
-            if rec(i + 1):
-                return True
-            if kind == FWD:
-                outdeg[u] -= 1
-                arcs.pop()
-            elif kind == BWD:
-                outdeg[v] -= 1
-                arcs.pop()
-            else:
-                matched.difference_update((u, v))
-        return False
-
-    hit = rec(0)
-    return hit if mode == "exists" else count
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .decomposition import Decomposition
 
 
 class PlaneGraphError(ValueError):
@@ -52,6 +55,23 @@ class FaceWalk:
 
     def is_simple_cycle(self) -> bool:
         return len(self) >= 3 and len(set(self.vertices)) == len(self.vertices)
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Vertex -> index into ``vertices``; a repeated vertex keeps its
+        last position."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def stretch(self, a: int, b: int) -> tuple[int, ...]:
+        """The walk from a forward (in visiting order, wrapping around) to
+        the first b, both ends included; (a,) when a == b.
+
+        a is taken at its ``position``, so on a walk that repeats a the
+        stretch starts at a's last visit.
+        """
+        i = self.position[a]
+        ahead = self.vertices[i:] + self.vertices[:i]
+        return ahead[:ahead.index(b) + 1]
 
 
 @dataclass(frozen=True)
@@ -466,6 +486,11 @@ class Piece:
 
     def lift_edge(self, e: Edge) -> Edge:
         return und(self.parent_of(e[0]), self.parent_of(e[1]))
+
+    def lift(self, dec: Decomposition) -> Decomposition:
+        """A decomposition of the piece, given in child ids, rewritten in the
+        parent's ids (child c becomes ``parent_of(c)``)."""
+        return dec.relabel(dict(enumerate(self.to_parent, 1)))
 
 
 def extract_piece(g: PlaneGraph, vertices: Iterable[int],

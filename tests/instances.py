@@ -7,31 +7,19 @@ shape is hand-made.
 
 from __future__ import annotations
 
-import itertools
+import networkx as nx
 
+from planedec.oracle import rotation_systems
 from planedec.plane_graph import PlaneGraph, validate
 
 
 def embed(n: int, edges: list[tuple[int, int]], outer_cycle: list[int]) -> PlaneGraph:
     """Find a plane embedding whose outer walk is the given cycle."""
-    nbrs: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    per_vertex = []
-    for v in range(1, n + 1):
-        ns = sorted(nbrs[v])
-        if len(ns) <= 2:
-            per_vertex.append([tuple(ns)])
-        else:
-            per_vertex.append([(ns[0],) + p for p in itertools.permutations(ns[1:])])
-    m = len(edges)
-    want_faces = 2 - n + m
+    G = nx.empty_graph(range(1, n + 1))
+    G.add_edges_from(edges)
     target = set(outer_cycle)
-    for rot in itertools.product(*per_vertex):
+    for rot in rotation_systems(G):
         g = PlaneGraph(rot, (outer_cycle[0], outer_cycle[1]))
-        if len(g.faces) != want_faces:
-            continue
         walk = g.boundary_walk
         if walk.vertex_set == target and walk.is_simple_cycle() \
                 and len(walk) == len(outer_cycle):

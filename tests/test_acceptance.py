@@ -5,6 +5,7 @@ enumeration is shared across criteria through a session fixture.
 """
 
 import collections
+import hashlib
 import itertools
 
 import pytest
@@ -29,6 +30,13 @@ CONFIG_N = 8
 def _report(name: str, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
+
+
+def _fold(h, dec, trace) -> None:
+    """Fold one run's case trace and output into a running SHA-256, so a
+    frozen digest pins traces and decompositions byte for byte."""
+    h.update(repr((trace.entries, sorted(dec.arcs),
+                   sorted(dec.matching))).encode())
 
 
 @pytest.fixture(scope="session")
@@ -158,12 +166,15 @@ def test_criterion_5_grammar_round_trip_and_symmetry():
 
 def test_criterion_6_coloring_demo(graphs9):
     checked = 0
+    h = hashlib.sha256()
     for g in graphs9:
-        dec, _ = decompose_21(g)
+        dec, trace = decompose_21(g)
+        _fold(h, dec, trace)
         colors = defective_coloring(g, dec)
         rep = check_coloring(g, dec, colors)
         assert rep.ok, (g.rotation, rep.detail)
         checked += 1
+    fixtures.check(f"digest_decompose_21_n{SWEEP_N}", int(h.hexdigest(), 16))
     _report("6 (defective coloring demo)", checked == len(graphs9),
             f"3-colorings with defect <= 1 verified on all {checked} graphs "
             f"n<={SWEEP_N}")
@@ -171,6 +182,7 @@ def test_criterion_6_coloring_demo(graphs9):
 
 def test_criterion_7_branch_coverage(theorem_stats, config_stats):
     seen = set(theorem_stats.labels) | set(config_stats.labels)
+    h = hashlib.sha256()
     for maker, label in [(instances.claim9_instance, "Claim9"),
                          (instances.claim10_instance, "Claim10"),
                          (instances.claim11_instance, "Claim11"),
@@ -180,7 +192,9 @@ def test_criterion_7_branch_coverage(theorem_stats, config_stats):
         dec, trace = decompose_config(cfg, "M2")
         assert label in trace.labels(), label
         assert verify(g, path, goal_spec("M2", cfg), dec).ok
+        _fold(h, dec, trace)
         seen |= trace.labels()
+    fixtures.check("digest_branch_instances", int(h.hexdigest(), 16))
     wanted = {f"Claim{i}" for i in range(1, 12)} | {"CStar", "Final",
                                                     "SpecialFamily"}
     missing = wanted - seen

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from planedec.decomposition import Decomposition
 from planedec.oracle import enumerate_graphs
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
                                   chord_neighbors, cycle_graph, int_subgraph,
@@ -54,6 +55,29 @@ def test_boundary_walk_pendant_visits_twice():
 
 def test_boundary_walk_hexagon():
     assert cycle_graph(6).boundary_walk.vertices == (1, 2, 3, 4, 5, 6)
+
+
+def test_stretch_runs_forward_inclusive_and_wraps():
+    walk = cycle_graph(6).boundary_walk
+    assert walk.stretch(2, 5) == (2, 3, 4, 5)
+    assert walk.stretch(5, 2) == (5, 6, 1, 2)
+    assert walk.stretch(3, 3) == (3,)
+
+
+def test_stretch_on_a_walk_with_a_repeated_vertex():
+    g = PlaneGraph({1: (2, 4), 2: (1, 3), 3: (2, 4), 4: (3, 5, 1), 5: (4,)},
+                   (1, 2))
+    walk = g.boundary_walk
+    assert walk.vertices == (1, 2, 3, 4, 5, 4)
+    assert walk.stretch(4, 2) == (4, 1, 2)  # from the last visit of 4
+    assert walk.stretch(1, 4) == (1, 2, 3, 4)  # up to the first 4
+
+
+def test_piece_lift_maps_child_ids_to_parent_ids():
+    piece = int_subgraph(hexagon_with_chord(), [4, 5, 6, 1])
+    assert piece.to_parent == (1, 4, 5, 6)
+    lifted = piece.lift(Decomposition.of([(2, 3), (4, 1)], [(3, 4)]))
+    assert lifted == Decomposition.of([(4, 5), (6, 1)], [(5, 6)])
 
 
 def test_boundary_succ_pred():
