@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
-from .config_algebra import Configuration, Derivation, full_reverse, recognize
+from .config_algebra import Configuration, full_reverse, recognize
 from .decomposition import (ConstraintSpec, Decomposition,
                             MatchedPartnerOnBoundary, und, verify, verify_21)
 from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
@@ -560,8 +560,8 @@ def _extend_into_c5(g: PlaneGraph, ip: Piece, d0: Decomposition,
                                    drop_matching=[(partner, end)])
     if (v4, v3) not in dprime.arcs:
         raise CounterexampleError(
-            Configuration(g, (v1, v2, v3, v4)) if False else _as_cfg(g),
-            "expected forced arc (v4, v3) in the separating C5 extension")
+            _as_cfg(g),
+            f"expected forced arc (v4, v3) in the separating C5 extension {lab}")
     dprime = dprime.adjust(drop_arcs=[(v4, v3)])
     int_nbrs = [ip.parent_of(q) for q in ig.neighbors(icm[v5])]
     extra = [(q, v5) for q in int_nbrs if q not in (v1, v4)]
@@ -1207,19 +1207,6 @@ def _claim7_top_0001(sub: Configuration, trace: CaseTrace) -> Decomposition:
     return _recurse(sub, "M2", trace)
 
 
-def _fan_q_derivation(wp: Piece, wcm: dict[int, int], u: int, fan: list[int],
-                      vs: tuple[int, ...]) -> Derivation:
-    """The fan region on the path (z, y, u, x_r) is a Q member (the chain of
-    R fan pieces glued along the chords at u); recognition finds it by
-    splitting at exactly those chords."""
-    y_, z_ = fan[0], _succ_in(vs, fan[0])
-    sub = Configuration(wp.graph, (wcm[z_], wcm[y_], wcm[u], wcm[fan[-1]]))
-    d = recognize(sub)
-    if d is None or not d.in_Q():
-        raise PlaneGraphError("fan union is not recognised as a Q member")
-    return d
-
-
 # ---------------------------------------------------------------------------
 # the greedy cycle
 # ---------------------------------------------------------------------------
@@ -1270,7 +1257,6 @@ def cstar_finish(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         trace.add("Claim8")
         return _claim8(cfg, trace)
     # Claim 9: a chord of C*
-    cset = {p: i for i, p in enumerate(seq)}
     for i, j in itertools.combinations(range(s), 2):
         a, b = seq[i], seq[j]
         if j - i >= 2 and not (i == 0 and j == s - 1) and g.has_edge(a, b):

@@ -4,10 +4,23 @@ Everything here is deliberately simple and separate from the constructive
 algorithm so it can serve as its oracle: plane graphs are enumerated from
 scratch (abstract graphs, then rotation systems filtered by the Euler check),
 and decompositions are found by exhaustive assignment with pruning.
+
+Embeddings are deduplicated by canonical_form, which takes the least BFS code
+over the outer face's directed edges and over those of the mirror image.  The
+enumerator keys each (rotation system, face) pair with that same key without
+building a PlaneGraph for it, and skips a rotation system outright when its
+mirror image (every rotation reversed) is a smaller tuple: rotation_systems
+yields in increasing order, so that mirror has already been keyed.  Its faces
+are the skipped system's faces walked backwards, and the key folds in the
+reflection, so every key the skipped system would produce is already seen and
+it could never emit a graph.  The keys, and the (rotation, outer) pairs
+emitted and their order, are therefore exactly those of keying every pair
+with canonical_form.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -23,6 +36,59 @@ from .plane_graph import Edge, PlaneGraph, PlaneGraphError
 # canonical forms
 # ---------------------------------------------------------------------------
 
+Rotation = tuple[tuple[int, ...], ...]
+
+
+def _encode(rot: Rotation, u0: int, v0: int) -> bytes:
+    """The one BFS encoder behind bfs_encode, canonical_form, config_key and
+    plane_graphs_of.  rot[w - 1] is the cyclic rotation at w, read from any
+    starting neighbour; the code starts along the directed edge (u0, v0)."""
+    n = len(rot)
+    label = [0] * (n + 1)
+    label[0] = 124  # b"|": vertex 0 stands for the row separator in flat
+    label[u0] = 1
+    arrival = [0] * (n + 1)
+    arrival[u0] = v0
+    order = [u0]
+    flat: list[int] = []
+    for w in order:  # order grows while it is read: a breadth-first queue
+        r = rot[w - 1]
+        i = r.index(arrival[w])
+        row = r[i:] + r[:i]
+        flat += row
+        flat.append(0)
+        for q in row:
+            if not label[q]:
+                label[q] = len(order) + 1
+                arrival[q] = w
+                order.append(q)
+    flat.pop()
+    return bytes([n]) + bytes(map(label.__getitem__, flat))
+
+
+def _mirror(rot: Rotation) -> Rotation:
+    """The mirror image: every rotation reversed, still starting at its first
+    neighbour (so a rotation system in normal form maps to one in normal
+    form)."""
+    return tuple((r[0],) + r[:0:-1] if r else r for r in rot)
+
+
+def _face_key(rot: Rotation, mirror: Rotation, face: Sequence[Edge],
+              top: int = 0) -> bytes:
+    """canonical_form of the plane graph (rot, face): the least code over the
+    face's directed edges in rot and over their reversals in the mirror, whose
+    outer face is the same walk traversed backwards.
+
+    Starts whose tail has fewer than ``top`` neighbours are skipped.  That
+    loses nothing when top is the largest degree on the face of a simple
+    graph with n <= 123: a code from a tail of degree d reads n, 2, ..., d+1
+    and then 124 (the row separator), where a code from a tail of larger
+    degree reads d+2 < 124, so the latter is smaller.
+    """
+    return min(min(_encode(rot, u, v) for u, v in face if len(rot[u - 1]) >= top),
+               min(_encode(mirror, v, u) for u, v in face if len(rot[v - 1]) >= top))
+
+
 def bfs_encode(g: PlaneGraph, start: Edge) -> bytes:
     """Deterministic encoding of a rotation system from a starting directed edge.
 
@@ -31,28 +97,7 @@ def bfs_encode(g: PlaneGraph, start: Edge) -> bytes:
     the same encoding for corresponding start edges iff an orientation-
     preserving embedding isomorphism maps one start edge to the other.
     """
-    u0, v0 = start
-    label: dict[int, int] = {u0: 1}
-    arrival: dict[int, int] = {u0: v0}
-    order = [u0]
-    head = 0
-    while head < len(order):
-        w = order[head]
-        head += 1
-        rot = g.neighbors(w)
-        i = rot.index(arrival[w])
-        for j in range(len(rot)):
-            q = rot[(i + j) % len(rot)]
-            if q not in label:
-                label[q] = len(label) + 1
-                arrival[q] = w
-                order.append(q)
-    rows = []
-    for w in order:
-        rot = g.neighbors(w)
-        i = rot.index(arrival[w])
-        rows.append(bytes(label[rot[(i + j) % len(rot)]] for j in range(len(rot))))
-    return bytes([g.n]) + b"|".join(rows)
+    return _encode(g.rotation, *start)
 
 
 def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> bytes:
@@ -63,11 +108,10 @@ def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> bytes:
     """
     if g.m == 0:
         return bytes([g.n])
-    cands = [bfs_encode(g, de) for de in g.faces[g.outer_face_id]]
+    face = g.faces[g.outer_face_id]
     if include_reflection:
-        r = g.reflect()
-        cands += [bfs_encode(r, de) for de in r.faces[r.outer_face_id]]
-    return min(cands)
+        return _face_key(g.rotation, _mirror(g.rotation), face)
+    return min(_encode(g.rotation, u, v) for u, v in face)
 
 
 def config_key(g: PlaneGraph, path: Sequence[int]) -> bytes:
@@ -78,9 +122,10 @@ def config_key(g: PlaneGraph, path: Sequence[int]) -> bytes:
     makes a configuration and its mirror image receive equal keys.
     """
     from .decomposition import path_orientation
+    rot = g.rotation
     if path_orientation(g, path) < 0:
-        g = g.reflect()
-    return bfs_encode(g, (path[0], path[1]))
+        rot = _mirror(rot)
+    return _encode(rot, path[0], path[1])
 
 
 # ---------------------------------------------------------------------------
@@ -176,56 +221,88 @@ def abstract_graphs_edge_subsets(n: int) -> list[nx.Graph]:
 # embedding enumeration
 # ---------------------------------------------------------------------------
 
-def _count_faces(rot: tuple[tuple[int, ...], ...]) -> int:
-    succ = [{u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)}
-            for nbrs in rot]
-    seen: set[Edge] = set()
-    faces = 0
-    for v in range(1, len(rot) + 1):
-        for u in rot[v - 1]:
-            if (v, u) in seen:
-                continue
-            faces += 1
-            cur = (v, u)
-            while cur not in seen:
-                seen.add(cur)
-                a, b = cur
-                cur = (b, succ[b - 1][a])
-    return faces
+def rotation_systems(G: nx.Graph) -> Iterator[Rotation]:
+    """All sphere embeddings of a connected graph, as rotation tuples in
+    normal form (each rotation starts at its smallest neighbour), in
+    increasing tuple order (itertools.product over each vertex's candidate
+    rotations, themselves in increasing order).
 
-
-def rotation_systems(G: nx.Graph) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All sphere embeddings of a connected graph, as rotation tuples."""
+    A product element is kept when its face count meets Euler's formula.
+    Directed edges are numbered so that each vertex's incoming edges take
+    consecutive slots in sorted-neighbour order.  Each candidate rotation at
+    v is then built once, as the slots that follow v's incoming edges on
+    their faces, and a product element is traced as one flat permutation.
+    """
     n = G.number_of_nodes()
     m = G.number_of_edges()
-    nbrs = {v: sorted(G[v]) for v in G.nodes()}
+    nbrs = {v: sorted(G[v]) for v in range(1, n + 1)}
+    slot: dict[Edge, int] = {}
+    for v in range(1, n + 1):
+        for u in nbrs[v]:
+            slot[(u, v)] = len(slot)
     per_vertex = []
     for v in range(1, n + 1):
         ns = nbrs[v]
         if len(ns) <= 2:
-            per_vertex.append([tuple(ns)])
+            rots = [tuple(ns)]
         else:
-            first, rest = ns[0], ns[1:]
-            per_vertex.append([(first,) + p for p in itertools.permutations(rest)])
+            rots = [(ns[0],) + p for p in itertools.permutations(ns[1:])]
+        cands = []
+        for r in rots:
+            after = {u: r[(i + 1) % len(r)] for i, u in enumerate(r)}
+            # entering v along (u, v), the face leaves along (v, after[u])
+            cands.append((r, tuple(slot[(v, after[u])] for u in ns)))
+        per_vertex.append(cands)
+    darts = range(2 * m)
     want = 2 - n + m
     for combo in itertools.product(*per_vertex):
-        if _count_faces(combo) == want:
-            yield combo
+        succ = [d for _, tail in combo for d in tail]
+        faces = 0
+        for d in darts:
+            if succ[d] >= 0:
+                faces += 1
+                while succ[d] >= 0:  # mark d traced, step along its face
+                    succ[d], d = -1, succ[d]
+        if faces == want:
+            yield tuple(r for r, _ in combo)
+
+
+def _faces(rot: Rotation) -> list[tuple[Edge, ...]]:
+    """The face traces of a rotation system, in the order and from the start
+    edges of PlaneGraph.faces."""
+    after = [{u: r[(i + 1) % len(r)] for i, u in enumerate(r)} for r in rot]
+    seen: set[Edge] = set()
+    out = []
+    for v, r in enumerate(rot, start=1):
+        for u in r:
+            if (v, u) in seen:
+                continue
+            face = []
+            a, b = v, u
+            while (a, b) not in seen:
+                seen.add((a, b))
+                face.append((a, b))
+                a, b = b, after[b - 1][a]
+            out.append(tuple(face))
+    return out
 
 
 def plane_graphs_of(G: nx.Graph) -> list[PlaneGraph]:
     """All plane graphs (embedding + outer face) of G, deduplicated with
-    reflection included."""
+    reflection included: for every rotation system and every face, in that
+    order, the first plane graph of each canonical_form."""
     out: list[PlaneGraph] = []
     seen: set[bytes] = set()
     for rot in rotation_systems(G):
-        probe = PlaneGraph(rot, (1, rot[0][0]))
-        for face in probe.faces:
-            pg = PlaneGraph(rot, face[0])
-            key = canonical_form(pg, include_reflection=True)
+        mirror = _mirror(rot)
+        if mirror < rot:  # yielded, and keyed, before rot
+            continue
+        for face in _faces(rot):
+            top = max(len(rot[u - 1]) for u, _ in face) if len(rot) <= 123 else 0
+            key = _face_key(rot, mirror, face, top)
             if key not in seen:
                 seen.add(key)
-                out.append(pg)
+                out.append(PlaneGraph(rot, face[0]))
     return out
 
 
@@ -244,6 +321,11 @@ def enumerate_graphs(max_n: int, connected_only: bool = True,
         per_n = [levels[n] for n in range(1, max_n + 1)]
     else:
         per_n = [abstract_graphs_edge_subsets(n) for n in range(1, max_n + 1)]
+    # Rejected candidate graphs are garbage reference cycles (a networkx
+    # graph caches views that point back to it).  The embedding half makes
+    # few container objects, so the collector would reach them late and the
+    # process would grow to hold both.
+    gc.collect()
     for graphs in per_n:
         for G in graphs:
             if G.number_of_edges() == 0:
