@@ -25,7 +25,7 @@ from .config_algebra import Configuration, full_reverse, recognize
 from .decomposition import (ConstraintSpec, Decomposition,
                             MatchedPartnerOnBoundary, und, verify, verify_21)
 from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
-                          classify_faces_by_cycle, component_pieces,
+                          classify_darts_by_cycle, component_pieces,
                           extract_piece, int_subgraph, two_chords, validate)
 from .special_decomposer import ClauseRequest, decompose_special, \
     decompose_p2_shifted
@@ -120,24 +120,44 @@ def cycle_sides(g: PlaneGraph, cycle: Sequence[int]) -> tuple[set[int], set[int]
     """Vertices strictly inside / strictly outside a cycle."""
     k = len(cycle)
     cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    inside, outside = classify_faces_by_cycle(g, cyc_edges)
+    _, outside = classify_darts_by_cycle(g, cyc_edges)
     inner, outer = set(), set()
     cset = set(cycle)
     for v in g.vertices():
         if v in cset:
             continue
-        fs = {g.face_of(v, u) for u in g.neighbors(v)}
-        if fs <= inside:
+        out = [(v, u) in outside for u in g.neighbors(v)]
+        if not any(out):
             inner.add(v)
-        elif fs <= outside:
+        elif all(out):
             outer.add(v)
         else:  # pragma: no cover - cannot happen for a cycle
             raise PlaneGraphError("vertex saddles the cycle")
     return inner, outer
 
 
+def _bounds_face(g: PlaneGraph, cycle: Sequence[int]) -> bool:
+    """Whether the face walk from (c0, c1), or from (c1, c0) for the reversed
+    cycle, runs exactly once around the cycle and closes."""
+    k = len(cycle)
+    for c in (cycle, cycle[1::-1] + cycle[:1:-1]):
+        d = (c[0], c[1])
+        for i in range(2, k + 2):
+            d = g.face_next(*d)
+            if d[1] != c[i % k]:
+                break
+        else:
+            return True
+    return False
+
+
 def has_separating_small_cycle(g: PlaneGraph) -> tuple[int, ...] | None:
+    """The first 4-/5-cycle (in small_cycles order) with a vertex strictly on
+    each side.  A cycle that bounds a face has one side without vertices, so
+    it is skipped after k face steps instead of a whole-graph flood."""
     for cyc in small_cycles(g):
+        if _bounds_face(g, cyc):
+            continue
         inner, outer = cycle_sides(g, cyc)
         if inner and outer:
             return cyc
@@ -148,15 +168,15 @@ def ext_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
     """Ext(C): everything outside or on the cycle (outer face inherited)."""
     k = len(cycle)
     cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    inside, outside = classify_faces_by_cycle(g, cyc_edges)
+    _, outside = classify_darts_by_cycle(g, cyc_edges)
     verts = set(cycle)
     for v in g.vertices():
-        fs = {g.face_of(v, u) for u in g.neighbors(v)}
-        if fs and fs <= outside:
+        nbrs = g.neighbors(v)
+        if nbrs and all((v, u) in outside for u in nbrs):
             verts.add(v)
 
     def keep(u: int, v: int) -> bool:
-        return g.face_of(u, v) in outside or g.face_of(v, u) in outside
+        return (u, v) in outside or (v, u) in outside
 
     return extract_piece(g, verts, keep_edge=keep, outer_parent_edge=g.outer)
 

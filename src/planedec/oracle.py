@@ -89,6 +89,11 @@ def _face_key(rot: Rotation, mirror: Rotation, face: Sequence[Edge],
                min(_encode(mirror, v, u) for u, v in face if len(rot[v - 1]) >= top))
 
 
+def _face_top(rot: Rotation, face: Sequence[Edge]) -> int:
+    """The largest ``top`` that _face_key may use on this face."""
+    return max(len(rot[u - 1]) for u, _ in face) if len(rot) <= 123 else 0
+
+
 def bfs_encode(g: PlaneGraph, start: Edge) -> bytes:
     """Deterministic encoding of a rotation system from a starting directed edge.
 
@@ -104,14 +109,17 @@ def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> bytes:
     """Canonical identifier of a connected plane graph with its outer face.
 
     Minimum of bfs_encode over all directed edges of the outer walk (and of
-    the mirror image's outer walk when include_reflection is set).
+    the mirror image's outer walk when include_reflection is set).  Only
+    starts whose tail has the face's largest degree are encoded, which gives
+    the same minimum (see _face_key).
     """
     if g.m == 0:
         return bytes([g.n])
     face = g.faces[g.outer_face_id]
+    top = _face_top(g.rotation, face)
     if include_reflection:
-        return _face_key(g.rotation, _mirror(g.rotation), face)
-    return min(_encode(g.rotation, u, v) for u, v in face)
+        return _face_key(g.rotation, _mirror(g.rotation), face, top)
+    return min(_encode(g.rotation, u, v) for u, v in face if g.degree(u) >= top)
 
 
 def config_key(g: PlaneGraph, path: Sequence[int]) -> bytes:
@@ -298,8 +306,7 @@ def plane_graphs_of(G: nx.Graph) -> list[PlaneGraph]:
         if mirror < rot:  # yielded, and keyed, before rot
             continue
         for face in _faces(rot):
-            top = max(len(rot[u - 1]) for u, _ in face) if len(rot) <= 123 else 0
-            key = _face_key(rot, mirror, face, top)
+            key = _face_key(rot, mirror, face, _face_top(rot, face))
             if key not in seen:
                 seen.add(key)
                 out.append(PlaneGraph(rot, face[0]))

@@ -37,10 +37,9 @@ def und(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class FaceWalk:
-    """A closed face walk: vertices in visiting order and the directed edges."""
+    """A closed face walk, given by its vertices in visiting order."""
 
     vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -48,6 +47,14 @@ class FaceWalk:
     @property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The directed edges in visiting order; none for a lone vertex."""
+        vs = self.vertices
+        if len(vs) == 1:
+            return ()
+        return tuple(zip(vs, vs[1:] + vs[:1]))
 
     @property
     def edge_set(self) -> frozenset[Edge]:
@@ -141,11 +148,6 @@ class PlaneGraph:
                 raise PlaneGraphError(f"outer edge {self.outer} is not an edge")
         elif n != 1:
             raise PlaneGraphError("edgeless plane graphs must be single vertices")
-        # successor lookup per vertex: _succ[v-1][u] = neighbour after u
-        self._succ: tuple[dict[int, int], ...] = tuple(
-            {u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)} if nbrs else {}
-            for nbrs in rot
-        )
 
     # -- basic accessors ---------------------------------------------------
 
@@ -167,7 +169,7 @@ class PlaneGraph:
         return len(self.rotation[v - 1])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._succ[u - 1]
+        return v in self.rotation[u - 1]
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -186,7 +188,9 @@ class PlaneGraph:
     # -- faces -------------------------------------------------------------
 
     def face_next(self, u: int, v: int) -> Edge:
-        return (v, self._succ[v - 1][u])
+        r = self.rotation[v - 1]
+        i = r.index(u) + 1
+        return (v, r[i] if i < len(r) else r[0])
 
     def trace_face(self, u: int, v: int) -> tuple[Edge, ...]:
         """Directed edges of the face containing directed edge (u, v)."""
@@ -214,34 +218,20 @@ class PlaneGraph:
         return tuple(out)
 
     @cached_property
-    def face_index(self) -> dict[Edge, int]:
-        """Directed edge -> index into ``faces``."""
-        idx = {}
-        for i, f in enumerate(self.faces):
-            for de in f:
-                idx[de] = i
-        return idx
-
-    @cached_property
     def outer_face_id(self) -> int:
+        """Index into ``faces`` of the trace holding the outer edge."""
         if self.m == 0:
             return 0
-        return self.face_index[self.outer]
-
-    def face_of(self, u: int, v: int) -> int:
-        return self.face_index[(u, v)]
+        return next(i for i, f in enumerate(self.faces) if self.outer in f)
 
     # -- boundary ----------------------------------------------------------
 
     @cached_property
     def boundary_walk(self) -> FaceWalk:
+        """The outer face's trace, starting at the designated outer edge."""
         if self.m == 0:
-            return FaceWalk(vertices=(1,), edges=())
-        trace = self.faces[self.outer_face_id]
-        # rotate the trace so it starts at the designated outer edge
-        i = trace.index(self.outer)
-        trace = trace[i:] + trace[:i]
-        return FaceWalk(vertices=tuple(e[0] for e in trace), edges=trace)
+            return FaceWalk(vertices=(1,))
+        return FaceWalk(vertices=tuple(u for u, _ in self.trace_face(*self.outer)))
 
     @cached_property
     def boundary_vertices(self) -> frozenset[int]:
@@ -520,27 +510,28 @@ def extract_piece(g: PlaneGraph, vertices: Iterable[int],
     return Piece(graph=piece, to_parent=tuple(verts))
 
 
-def classify_faces_by_cycle(g: PlaneGraph, cycle_edges: set[Edge]) -> tuple[set[int], set[int]]:
-    """Split faces into (inside, outside) of a cycle given by undirected edges.
+def classify_darts_by_cycle(g: PlaneGraph, cycle_edges: set[Edge]
+                            ) -> tuple[set[Edge], set[Edge]]:
+    """Split directed edges into (inside, outside) of a cycle given by
+    undirected edges.
 
-    Outside = faces reachable from the outer face without crossing the cycle.
+    Outside = darts reachable from the outer edge without crossing the cycle:
+    a dart steps to the next dart of its face, and to its reversal unless its
+    edge is on the cycle.  All darts of a face land on the same side.
     """
-    adj: dict[int, set[int]] = {i: set() for i in range(len(g.faces))}
-    for (u, v), i in g.face_index.items():
-        if und(u, v) in cycle_edges:
-            continue
-        j = g.face_index[(v, u)]
-        adj[i].add(j)
-        adj[j].add(i)
-    outside = {g.outer_face_id}
-    stack = [g.outer_face_id]
+    outside = {g.outer}
+    stack = [g.outer]
     while stack:
-        f = stack.pop()
-        for h in adj[f]:
-            if h not in outside:
-                outside.add(h)
-                stack.append(h)
-    inside = set(range(len(g.faces))) - outside
+        u, v = stack.pop()
+        d = g.face_next(u, v)
+        if d not in outside:
+            outside.add(d)
+            stack.append(d)
+        d = (v, u)
+        if d not in outside and und(u, v) not in cycle_edges:
+            outside.add(d)
+            stack.append(d)
+    inside = {(v, u) for v in g.vertices() for u in g.neighbors(v)} - outside
     return inside, outside
 
 
@@ -553,27 +544,24 @@ def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
         if not g.has_edge(cycle[i], cycle[(i + 1) % k]):
             raise PlaneGraphError("not a cycle of g")
     cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    inside, outside = classify_faces_by_cycle(g, cyc_edges)
-
-    def face_class(u: int, v: int) -> str:
-        return "in" if g.face_of(u, v) in inside else "out"
+    inside, outside = classify_darts_by_cycle(g, cyc_edges)
 
     verts = set(cycle)
     for v in g.vertices():
-        incident = {g.face_of(v, u) for u in g.neighbors(v)}
-        if incident and incident <= inside:
+        nbrs = g.neighbors(v)
+        if nbrs and all((v, u) in inside for u in nbrs):
             verts.add(v)
 
     def keep(u: int, v: int) -> bool:
         # keep an edge iff at least one of its two sides is an inside face
-        return g.face_of(u, v) in inside or g.face_of(v, u) in inside
+        return (u, v) in inside or (v, u) in inside
 
     # outer directed edge of the piece: a cycle edge whose trace-side is outside
     outer_edge = None
     for i in range(k):
         a, b = cycle[i], cycle[(i + 1) % k]
         for de in ((a, b), (b, a)):
-            if g.face_of(*de) in outside:
+            if de in outside:
                 outer_edge = de
                 break
         if outer_edge:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import planedec
 from planedec.decomposition import ConstraintSpec, Decomposition, EdgeInMatching
 from planedec.io import (DecompositionDocument, FormatError, emit_planar_code,
                          emit_rotation_text, parse_planar_code,
@@ -81,9 +84,14 @@ def test_document_rejects_unknown_fields():
 
 
 def run_cli(args, stdin=b""):
-    proc = subprocess.run([sys.executable, "-m", "planedec.cli", *args],
-                          input=stdin, capture_output=True)
-    return proc
+    # the child must import the same planedec as the tests, whether or not
+    # PYTHONPATH names it (pytest's own pythonpath setting is not inherited)
+    src = str(Path(planedec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "planedec.cli", *args],
+                          input=stdin, capture_output=True, env=env)
 
 
 def test_cli_decompose_theorem(tmp_path):

@@ -3,11 +3,12 @@ import pytest
 from planedec.config_algebra import Configuration
 from planedec.decomposition import verify, verify_21
 from planedec.main_decomposer import (CaseTrace, PreconditionError,
-                                      decompose_21, decompose_config,
-                                      goal_spec, has_separating_small_cycle,
-                                      resolve_two_chords)
+                                      _bounds_face, decompose_21,
+                                      decompose_config, goal_spec,
+                                      has_separating_small_cycle,
+                                      resolve_two_chords, small_cycles)
 from planedec.oracle import enumerate_configurations, enumerate_graphs
-from planedec.plane_graph import PlaneGraph, cycle_graph
+from planedec.plane_graph import PlaneGraph, cycle_graph, und
 
 import instances
 
@@ -88,6 +89,44 @@ def test_separating_cycle_detection():
     g = PlaneGraph({1: (2, 3, 4), 2: (1, 5), 3: (1, 5), 4: (1, 5),
                     5: (2, 4, 3)}, (1, 2))
     assert has_separating_small_cycle(g) is None
+
+
+def _reference_separating_cycle(g):
+    """The first 4-/5-cycle with a vertex whose faces all lie inside and one
+    whose faces all lie outside, every cycle tested by a face flood."""
+    for cyc in small_cycles(g):
+        k = len(cyc)
+        edges = {und(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
+        face_of, outside = instances.reference_outside_faces(g, edges)
+        sides = [{face_of[(v, u)] in outside for u in g.neighbors(v)}
+                 for v in g.vertices() if v not in cyc]
+        if {False} in sides and {True} in sides:
+            return cyc
+    return None
+
+
+def test_separating_cycle_matches_face_flood():
+    found = facial = 0
+    for g in instances.face_test_graphs():
+        want = _reference_separating_cycle(g)
+        assert has_separating_small_cycle(g) == want
+        found += want is not None
+        faces = {frozenset(f) for f in g.faces}
+        for cyc in small_cycles(g):
+            k = len(cyc)
+            darts = frozenset((cyc[i], cyc[(i + 1) % k]) for i in range(k))
+            rev = frozenset((v, u) for u, v in darts)
+            is_face = darts in faces or rev in faces
+            assert _bounds_face(g, cyc) == is_face
+            facial += is_face
+    assert found > 0 and facial > 0
+
+
+@pytest.mark.parametrize("r,c", [(12, 12), (2, 100)])
+def test_decompose_21_grid_and_ladder(r, c):
+    g = instances.grid(r, c)
+    dec, _ = decompose_21(g)
+    assert verify_21(g, dec).ok
 
 
 def test_decompose_21_c4():

@@ -142,8 +142,12 @@ def test_embedding_enumeration_matches_reference_n7(monkeypatch):
             for face in PlaneGraph(rot, (1, rot[0][0])).faces:
                 pg = PlaneGraph(rot, face[0])
                 key = canonical_form(pg)
+                # top = 0 encodes from every start: the unfiltered reference
+                assert oracle._face_key(rot, mirror, face) == key
                 top = max(pg.degree(u) for u, _ in face)
                 assert oracle._face_key(rot, mirror, face, top) == key
+                assert canonical_form(pg, include_reflection=False) == \
+                    min(oracle.bfs_encode(pg, d) for d in face)
                 if key not in seen:
                     seen.add(key)
                     want.append(pg)

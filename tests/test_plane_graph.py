@@ -3,10 +3,14 @@ import itertools
 import pytest
 
 from planedec.decomposition import Decomposition
+from planedec.main_decomposer import small_cycles
 from planedec.oracle import enumerate_graphs
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
-                                  chord_neighbors, cycle_graph, int_subgraph,
-                                  two_chords, und, validate)
+                                  chord_neighbors, classify_darts_by_cycle,
+                                  cycle_graph, int_subgraph, two_chords, und,
+                                  validate)
+
+import instances
 
 
 def hexagon_with_chord():
@@ -212,3 +216,37 @@ def test_chords_and_two_chords_against_brute_scan():
             for a, b in itertools.combinations(ends, 2):
                 brute_two.add((a, m, b))
         assert two_chords(g, walk) == brute_two
+
+
+def test_boundary_walk_is_the_outer_face_trace():
+    for g in instances.face_test_graphs():
+        walk = g.boundary_walk
+        if g.m == 0:
+            assert walk.vertices == (1,) and walk.edges == ()
+            continue
+        trace = g.faces[g.outer_face_id]
+        i = trace.index(g.outer)
+        rotated = trace[i:] + trace[:i]
+        assert walk.vertices == tuple(u for u, _ in rotated)
+        assert walk.edges == rotated
+
+
+def test_dart_classification_matches_face_flood():
+    """Every dart lands on the side of its face in the face-adjacency flood,
+    for every 4-/5-cycle and every simple boundary cycle."""
+    checked = 0
+    for g in instances.face_test_graphs():
+        cycles = small_cycles(g)
+        if g.boundary_walk.is_simple_cycle():
+            cycles.append(g.boundary_walk.vertices)
+        for cyc in cycles:
+            k = len(cyc)
+            edges = {und(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
+            inside, outside = classify_darts_by_cycle(g, edges)
+            face_of, out_faces = instances.reference_outside_faces(g, edges)
+            assert inside | outside == set(face_of)
+            assert not inside & outside
+            for f, face in enumerate(g.faces):
+                assert set(face) <= (outside if f in out_faces else inside)
+            checked += 1
+    assert checked > 600
