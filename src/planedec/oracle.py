@@ -16,12 +16,21 @@ reflection, so every key the skipped system would produce is already seen and
 it could never emit a graph.  The keys, and the (rotation, outer) pairs
 emitted and their order, are therefore exactly those of keying every pair
 with canonical_form.
+
+Abstract graphs are grown one vertex at a time (abstract_graphs_augment) and
+deduplicated by graph_certificate, an exact canonical labelling by
+individualization-refinement over adjacency bitmasks.  The filters run in the
+order: independent attachment sets only (so no triangle can appear), the
+Euler bound, the certificate lookup, and last nx.check_planarity, once per
+isomorphism class.  The second order (abstract_graphs_edge_subsets) keeps the
+networkx isomorphism test, so each order checks the other.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import warnings
 from typing import Iterable, Iterator, Literal, Sequence
 
 import networkx as nx
@@ -137,6 +146,131 @@ def config_key(g: PlaneGraph, path: Sequence[int]) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# canonical labelling of abstract graphs
+# ---------------------------------------------------------------------------
+
+def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """The coarsest equitable refinement of the ordered partition ``cells``
+    (vertex bitmasks) that is reachable by splitting with ``splitters``.
+
+    Each cell is split by the number of neighbours its vertices have in a
+    splitter, the pieces taking the cell's place in increasing count order,
+    and every piece becomes a splitter in turn.  Nothing here looks at vertex
+    names, so relabelling the graph and the input partition relabels the
+    output the same way.
+    """
+    n = len(adj)
+    while splitters and len(cells) < n:
+        w = splitters.pop()
+        out: list[int] = []
+        for x in cells:
+            if not x & (x - 1):
+                out.append(x)
+                continue
+            by_count: dict[int, int] = {}
+            y = x
+            while y:
+                b = y & -y
+                y ^= b
+                k = (adj[b.bit_length() - 1] & w).bit_count()
+                by_count[k] = by_count.get(k, 0) | b
+            if len(by_count) == 1:
+                out.append(x)
+            else:
+                pieces = [by_count[k] for k in sorted(by_count)]
+                out += pieces
+                splitters += pieces
+        cells = out
+    return cells
+
+
+def graph_certificate(adj: Sequence[int]) -> tuple[int, int]:
+    """Canonical form of the abstract graph whose vertex v has neighbour
+    bitmask adj[v]: two graphs receive equal certificates iff they are
+    isomorphic.
+
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): refine the degree partition to an equitable
+    ordered one, then branch on each vertex of its first non-singleton cell,
+    individualize it and refine again, down to discrete partitions.  Each
+    such leaf orders the vertices; the certificate is (n, code) for the least
+    code, where code packs the rows of the adjacency matrix in that order.
+    The tree is built without reference to vertex names, so isomorphic graphs
+    have the same set of leaf codes, and a code determines its graph.
+
+    A child whose vertex an automorphism fixing the branch's individualized
+    vertices maps onto an earlier sibling is skipped: its subtree is the
+    image of that sibling's and holds the same codes.  The automorphisms are
+    the transpositions of false twins (equal neighbourhoods) and those read
+    off pairs of leaves with equal codes.
+    """
+    n = len(adj)
+    gens: list[tuple[int, list[int]]] = []  # (moved points, image of each vertex)
+    by_nbhd: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        u = by_nbhd.setdefault(a, v)
+        if u != v:
+            img = list(range(n))
+            img[u], img[v] = v, u
+            gens.append(((1 << u) | (1 << v), img))
+    leaves: dict[int, list[int]] = {}
+
+    def orbit(v: int, fixed: int) -> int:
+        live = [img for moved, img in gens if not moved & fixed]
+        orb, todo = 1 << v, [v]
+        while todo:
+            w = todo.pop()
+            for img in live:
+                t = img[w]
+                if not orb >> t & 1:
+                    orb |= 1 << t
+                    todo.append(t)
+        return orb
+
+    def search(cells: list[int], fixed: int) -> None:
+        for i, x in enumerate(cells):
+            if x & (x - 1):
+                break
+        else:
+            order = [c.bit_length() - 1 for c in cells]
+            pos = [0] * n
+            for i, v in enumerate(order):
+                pos[v] = i
+            code = 0
+            for v in order:
+                row, a = 0, adj[v]
+                while a:
+                    b = a & -a
+                    a ^= b
+                    row |= 1 << pos[b.bit_length() - 1]
+                code = code << n | row
+            other = leaves.setdefault(code, order)
+            if other is not order:  # other[i] -> order[i] is an automorphism
+                img = list(range(n))
+                moved = 0
+                for s, t in zip(other, order):
+                    if s != t:
+                        img[s] = t
+                        moved |= 1 << s
+                gens.append((moved, img))
+            return
+        done = 0
+        y = x
+        while y:
+            b = y & -y
+            y ^= b
+            if done and orbit(b.bit_length() - 1, fixed) & done:
+                continue
+            done |= b
+            search(_refine(adj, cells[:i] + [b, x ^ b] + cells[i + 1:], [b]),
+                   fixed | b)
+
+    if n:
+        search(_refine(adj, [(1 << n) - 1], [(1 << n) - 1]), 0)
+    return n, min(leaves, default=0)
+
+
+# ---------------------------------------------------------------------------
 # abstract graph enumeration
 # ---------------------------------------------------------------------------
 
@@ -147,15 +281,23 @@ def _nx_from_edges(n: int, edges: Iterable[Edge]) -> nx.Graph:
     return G
 
 
+# networkx >= 3.5 warns on every weisfeiler_lehman_graph_hash call of an
+# unattributed graph that its hashes changed; _iso_dedup only compares hashes
+# taken within one run.
+_WL_CHANGED = "The hashes produced for graphs without node or edge attributes changed"
+
+
 def _iso_dedup(graphs: Iterable[nx.Graph]) -> list[nx.Graph]:
     buckets: dict[str, list[nx.Graph]] = {}
     out = []
-    for G in graphs:
-        h = nx.weisfeiler_lehman_graph_hash(G, iterations=3)
-        bucket = buckets.setdefault(h, [])
-        if not any(nx.is_isomorphic(G, H) for H in bucket):
-            bucket.append(G)
-            out.append(G)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=_WL_CHANGED, category=UserWarning)
+        for G in graphs:
+            h = nx.weisfeiler_lehman_graph_hash(G, iterations=3)
+            bucket = buckets.setdefault(h, [])
+            if not any(nx.is_isomorphic(G, H) for H in bucket):
+                bucket.append(G)
+                out.append(G)
     return out
 
 
@@ -171,32 +313,77 @@ def _is_planar_tf(G: nx.Graph) -> bool:
     return ok
 
 
+def _augment_candidates(adj: list[int]) -> Iterator[int]:
+    """The sets S (as bitmasks) for which G + v -> S is a candidate of
+    abstract_graphs_augment: the nonempty independent sets of G, by size r
+    and then in itertools.combinations order, up to the largest r that keeps
+    the new graph within Euler's bound m <= 2n - 4.  Every candidate is
+    triangle-free because S is independent."""
+    k = len(adj)
+    n = k + 1
+    m = sum(a.bit_count() for a in adj) // 2
+    max_r = k if n < 3 else min(k, 2 * n - 4 - m)
+
+    def sets(start: int, r: int, blocked: int, S: int) -> Iterator[int]:
+        if not r:
+            yield S
+            return
+        for v in range(start, k - r + 1):
+            if not blocked >> v & 1:
+                yield from sets(v + 1, r - 1, blocked | adj[v], S | 1 << v)
+
+    for r in range(1, max_r + 1):
+        yield from sets(0, r, 0, 0)
+
+
+def _augment(adj: list[int], S: int) -> list[int]:
+    """Neighbour bitmasks of G + v -> S, with v the new last vertex."""
+    bit = 1 << len(adj)
+    return [a | bit if S >> u & 1 else a for u, a in enumerate(adj)] + [S]
+
+
 def abstract_graphs_augment(max_n: int) -> dict[int, list[nx.Graph]]:
     """Connected triangle-free planar graphs up to isomorphism, by vertex
     augmentation: attach vertex n to a nonempty independent set of an
     (n-1)-vertex graph.  (Planarity and triangle-freeness are hereditary under
-    vertex deletion, so pruning every level loses nothing.)"""
+    vertex deletion, so pruning every level loses nothing.)
+
+    Candidates are built as bitmasks and looked up by graph_certificate
+    before any planarity test: only the first candidate of each isomorphism
+    class is tested with nx.check_planarity and, if planar, kept as an
+    nx.Graph.  Planarity, the Euler bound and triangle-freeness are
+    isomorphism invariants, so the graph kept for a class is its first planar
+    candidate, the one that deduplicating the planar candidates would keep.
+    """
     levels: dict[int, list[nx.Graph]] = {1: [_nx_from_edges(1, [])]}
+    adjs = [[0]]
     for n in range(2, max_n + 1):
-        cands = []
-        for G in levels[n - 1]:
-            verts = list(G.nodes())
-            for r in range(1, n):
-                for S in itertools.combinations(verts, r):
-                    if any(G.has_edge(a, b) for a, b in itertools.combinations(S, 2)):
-                        continue
-                    H = G.copy()
-                    H.add_node(n)
-                    H.add_edges_from((n, s) for s in S)
-                    if _is_planar_tf(H):
-                        cands.append(H)
-        levels[n] = _iso_dedup(cands)
+        kept: list[nx.Graph] = []
+        kept_adjs: list[list[int]] = []
+        seen: set[tuple[int, int]] = set()
+        for G, adj in zip(levels[n - 1], adjs):
+            for S in _augment_candidates(adj):
+                cand = _augment(adj, S)
+                cert = graph_certificate(cand)
+                if cert in seen:
+                    continue
+                seen.add(cert)
+                H = G.copy()
+                H.add_node(n)
+                H.add_edges_from((n, u) for u in range(1, n) if S >> (u - 1) & 1)
+                if nx.check_planarity(H)[0]:
+                    kept.append(H)
+                    kept_adjs.append(cand)
+        levels[n] = kept
+        adjs = kept_adjs
     return levels
 
 
 def abstract_graphs_edge_subsets(n: int) -> list[nx.Graph]:
     """Same class, enumerated as triangle-free edge subsets on n labelled
-    vertices (DFS with triangle pruning), then filtered and deduplicated."""
+    vertices (DFS with triangle pruning), deduplicated with networkx alone
+    and then filtered: the planarity test runs once per isomorphism class,
+    on the same first representative that filtering first would keep."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     max_m = max(n - 1, 2 * n - 4 if n >= 3 else 1)
     found: list[nx.Graph] = []
@@ -207,7 +394,7 @@ def abstract_graphs_edge_subsets(n: int) -> list[nx.Graph]:
         if i == len(pairs):
             if len(chosen) >= n - 1:
                 G = _nx_from_edges(n, chosen)
-                if nx.is_connected(G) and _is_planar_tf(G):
+                if nx.is_connected(G):
                     found.append(G)
             return
         rec(i + 1)
@@ -222,7 +409,7 @@ def abstract_graphs_edge_subsets(n: int) -> list[nx.Graph]:
             adj[v].remove(u)
 
     rec(0)
-    return _iso_dedup(found)
+    return [G for G in _iso_dedup(found) if _is_planar_tf(G)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +508,8 @@ def enumerate_graphs(max_n: int, connected_only: bool = True,
     collapsed)."""
     if max_n > 12:
         raise PlaneGraphError("enumeration capped at n = 12")
+    if max_n < 1:
+        raise PlaneGraphError(f"max_n must be at least 1, got {max_n}")
     if not connected_only:
         raise PlaneGraphError("only connected enumeration is supported")
     if order == "augment":
@@ -328,10 +517,11 @@ def enumerate_graphs(max_n: int, connected_only: bool = True,
         per_n = [levels[n] for n in range(1, max_n + 1)]
     else:
         per_n = [abstract_graphs_edge_subsets(n) for n in range(1, max_n + 1)]
-    # Rejected candidate graphs are garbage reference cycles (a networkx
-    # graph caches views that point back to it).  The embedding half makes
-    # few container objects, so the collector would reach them late and the
-    # process would grow to hold both.
+    # Rejected candidate graphs (in the edge_subsets order, every labelled
+    # candidate) are garbage reference cycles (a networkx graph caches views
+    # that point back to it).  The embedding half makes few container
+    # objects, so the collector would reach them late and the process would
+    # grow to hold both.
     gc.collect()
     for graphs in per_n:
         for G in graphs:

@@ -142,6 +142,22 @@ def test_cli_enumerate_check():
     assert any(line.startswith("n=5\t7") for line in lines)
 
 
+def test_cli_enumerate_leaves_stderr_empty():
+    proc = run_cli(["enumerate", "--max-n", "5"])
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout.decode().splitlines()[-1] == "n=5\t7"
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_cli_enumerate_rejects_max_n_below_one(max_n):
+    proc = run_cli(["enumerate", "--max-n", max_n])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    err = json.loads(proc.stderr)
+    assert err["kind"] == "PlaneGraphError" and "at least 1" in err["error"]
+
+
 def test_cli_family():
     proc = run_cli(["family", "--max-n", "7", "--tag", "R"])
     assert proc.returncode == 0

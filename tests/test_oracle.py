@@ -1,13 +1,19 @@
+import collections
 import itertools
+import random
+import warnings
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planedec import fixtures, oracle
 from planedec.decomposition import ConstraintSpec
 from planedec.oracle import (abstract_graphs_augment, brute_force,
                              canonical_form, config_key, enumerate_graphs,
-                             plane_graphs_of, rotation_systems)
+                             graph_certificate, plane_graphs_of,
+                             rotation_systems)
 from planedec.plane_graph import PlaneGraph, PlaneGraphError, cycle_graph
 
 
@@ -165,3 +171,149 @@ def test_mirror_pair_emits_once():
     assert list(rotation_systems(star)) == [((2, 3, 4), (1,), (1,), (1,)),
                                             ((2, 4, 3), (1,), (1,), (1,))]
     assert len(plane_graphs_of(star)) == 1
+
+
+# ---------------------------------------------------------------------------
+# abstract graphs: canonical certificates and the augment order
+# ---------------------------------------------------------------------------
+
+def _bitmasks(G, nodes):
+    """Neighbour bitmasks of G, vertex i of the result being nodes[i]."""
+    index = {v: i for i, v in enumerate(nodes)}
+    return [sum(1 << index[u] for u in G[v]) for v in nodes]
+
+
+def _nx_of(adj):
+    G = nx.Graph()
+    G.add_nodes_from(range(len(adj)))
+    G.add_edges_from((v, u) for v, a in enumerate(adj) for u in range(v)
+                     if a >> u & 1)
+    return G
+
+
+def _relabel(adj, perm):
+    """The graph with vertex v renamed perm[v]."""
+    out = [0] * len(adj)
+    for v, a in enumerate(adj):
+        out[perm[v]] = sum(1 << perm[u] for u in range(len(adj)) if a >> u & 1)
+    return out
+
+
+def test_certificate_is_exact_on_augment_candidates_n7():
+    """Over every candidate the augment step builds for n <= 7, planar or
+    not, two candidates have equal certificates exactly when networkx finds
+    them isomorphic."""
+    levels = abstract_graphs_augment(7)
+    merged = nonplanar = 0
+    for n in range(2, 8):
+        classes = collections.defaultdict(list)
+        for G in levels[n - 1]:
+            adj = _bitmasks(G, range(1, n))
+            for S in oracle._augment_candidates(adj):
+                cand = oracle._augment(adj, S)
+                classes[graph_certificate(cand)].append(_nx_of(cand))
+        for members in classes.values():
+            assert all(nx.is_isomorphic(members[0], H) for H in members[1:])
+            merged += len(members) - 1
+        reps = [members[0] for members in classes.values()]
+        for G, H in itertools.combinations(reps, 2):
+            if nx.faster_could_be_isomorphic(G, H):
+                assert not nx.is_isomorphic(G, H)
+        planar = sum(nx.check_planarity(G)[0] for G in reps)
+        assert planar == len(levels[n])
+        nonplanar += len(reps) - planar
+    assert merged > 300 and nonplanar > 0
+
+
+_SYMMETRIC = {
+    "cube": nx.hypercube_graph(3),
+    "K33": nx.complete_bipartite_graph(3, 3),
+    "C8": nx.cycle_graph(8),
+    "grid4x4": nx.grid_2d_graph(4, 4),
+}
+
+
+@st.composite
+def _triangle_free(draw):
+    """A random triangle-free graph on at most 10 vertices, connected or
+    not: each pair in turn becomes an edge if drawn and if it closes no
+    triangle."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    adj = [0] * n
+    for v, u in itertools.combinations(range(n), 2):
+        if draw(st.booleans()) and not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_certificate_invariant_under_relabelling(data):
+    adj = data.draw(_triangle_free())
+    perm = data.draw(st.permutations(range(len(adj))))
+    assert graph_certificate(_relabel(adj, perm)) == graph_certificate(adj)
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIC))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_certificate_invariant_on_symmetric_graphs(name, seed):
+    G = _SYMMETRIC[name]
+    adj = _bitmasks(G, sorted(G))
+    perm = list(range(len(adj)))
+    random.Random(seed).shuffle(perm)
+    assert graph_certificate(_relabel(adj, perm)) == graph_certificate(adj)
+
+
+def test_certificate_separates_regular_graphs():
+    """C8 and two disjoint C4s: both 2-regular on 8 vertices, so the
+    refinement alone cannot tell them apart."""
+    c8 = _bitmasks(nx.cycle_graph(8), range(8))
+    two_c4 = _bitmasks(nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(4)),
+                       range(8))
+    assert graph_certificate(c8) != graph_certificate(two_c4)
+
+
+def _reference_augment(max_n):
+    """The augment order as first written: filter every candidate for
+    triangles, the Euler bound and planarity, then deduplicate with the
+    Weisfeiler-Lehman hash and VF2."""
+    levels = {1: [oracle._nx_from_edges(1, [])]}
+    for n in range(2, max_n + 1):
+        cands = []
+        for G in levels[n - 1]:
+            verts = list(G.nodes())
+            for r in range(1, n):
+                for S in itertools.combinations(verts, r):
+                    if any(G.has_edge(a, b) for a, b in itertools.combinations(S, 2)):
+                        continue
+                    H = G.copy()
+                    H.add_node(n)
+                    H.add_edges_from((n, s) for s in S)
+                    if oracle._is_planar_tf(H):
+                        cands.append(H)
+        levels[n] = oracle._iso_dedup(cands)
+    return levels
+
+
+def test_augment_matches_reference_pipeline_n7():
+    got = abstract_graphs_augment(7)
+    want = _reference_augment(7)
+    assert sorted(got) == sorted(want)
+    for n in want:
+        assert [list(G.nodes()) for G in got[n]] == [list(G.nodes()) for G in want[n]]
+        assert [list(G.edges()) for G in got[n]] == [list(G.edges()) for G in want[n]]
+
+
+@pytest.mark.parametrize("order", ["augment", "edge_subsets"])
+def test_enumerate_raises_no_warning(order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sum(1 for _ in enumerate_graphs(6, order=order)) > 0
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_enumerate_rejects_max_n_below_one(max_n):
+    with pytest.raises(PlaneGraphError, match="at least 1"):
+        list(enumerate_graphs(max_n))
