@@ -182,34 +182,46 @@ def _fail(clause: str, detail: str) -> VerifyReport:
 # configuration path helpers
 # ---------------------------------------------------------------------------
 
+def _is_window(walk: tuple[int, ...], t: tuple[int, ...]) -> bool:
+    """Whether t is four consecutive vertices of the closed walk (wrapping
+    around), found by ``tuple.index`` over the visits of t's first vertex."""
+    if len(t) != 4:
+        return False
+    k = len(walk)
+    i = -1
+    for _ in range(walk.count(t[0])):
+        i = walk.index(t[0], i + 1)
+        if (walk[(i + 1) % k] == t[1] and walk[(i + 2) % k] == t[2]
+                and walk[(i + 3) % k] == t[3]):
+            return True
+    return False
+
+
 def check_config_path(g: PlaneGraph, path: Sequence[int]) -> str | None:
     """None if path is four consecutive distinct boundary-walk vertices.
 
     Either walk direction is accepted (a counterclockwise path is the same
-    configuration seen in the mirror embedding).
+    configuration seen in the mirror embedding).  Only the visits of the
+    path's end vertices are inspected, not every window of the walk.
     """
     if len(path) != 4 or len(set(path)) != 4:
         return f"path {tuple(path)} is not four distinct vertices"
     walk = g.boundary_walk.vertices
-    k = len(walk)
-    quads = {tuple(walk[(i + j) % k] for j in range(4)) for i in range(k)}
     t = tuple(path)
-    if t in quads or tuple(reversed(t)) in quads:
+    if _is_window(walk, t) or _is_window(walk, t[::-1]):
         return None
     return f"path {t} is not consecutive on the boundary walk"
 
 
 def path_orientation(g: PlaneGraph, path: Sequence[int]) -> int:
-    """+1 if the path follows the outer trace direction, -1 if reversed."""
+    """+1 if the path follows the outer trace direction, -1 if reversed
+    (checked in that order)."""
     walk = g.boundary_walk.vertices
-    k = len(walk)
     t = tuple(path)
-    for i in range(k):
-        if tuple(walk[(i + j) % k] for j in range(4)) == t:
-            return 1
-    for i in range(k):
-        if tuple(walk[(i + j) % k] for j in range(4)) == tuple(reversed(t)):
-            return -1
+    if _is_window(walk, t):
+        return 1
+    if _is_window(walk, t[::-1]):
+        return -1
     raise PlaneGraphError(f"path {t} not on boundary walk")
 
 
@@ -273,12 +285,13 @@ def verify(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
         extra = sorted(set(got) - want)
         return _fail("partition", f"missing={missing} extra={extra}")
 
-    # (b) matching property
-    touched: set[int] = set()
+    # (b) matching property; partner[v] is v's matched partner
+    partner: dict[int, int] = {}
     for u, v in dec.matching:
-        if u in touched or v in touched:
+        if u in partner or v in partner:
             return _fail("matching", f"vertex covered twice by M near {u}-{v}")
-        touched.update((u, v))
+        partner[u] = v
+        partner[v] = u
 
     # (c) acyclicity
     cyc = dec.find_cycle()
@@ -295,10 +308,10 @@ def verify(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
 
     # (e) path caps
     for i, v in enumerate(path):
-        if dec.out_degree(v) > spec.a[i]:
-            return _fail("path-outdeg",
-                         f"d+({v}) = {dec.out_degree(v)} > a{i + 1} = {spec.a[i]}")
-        dm = 0 if dec.matched_partner(v) is None else 1
+        d = outdeg.get(v, 0)
+        if d > spec.a[i]:
+            return _fail("path-outdeg", f"d+({v}) = {d} > a{i + 1} = {spec.a[i]}")
+        dm = 1 if v in partner else 0
         if dm > spec.b[i]:
             return _fail("path-matching", f"v{i + 1} = {v} is matched but b{i + 1} = 0")
 
@@ -317,7 +330,7 @@ def verify(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
             if (cond.u, cond.v) not in dec.arcs:
                 return _fail("side", f"required {cond}")
         else:
-            p = dec.matched_partner(cond.v)
+            p = partner.get(cond.v)
             if p is not None and p not in g.boundary_vertices:
                 return _fail("side", f"{cond}: partner {p} is interior")
     return VerifyReport(True)

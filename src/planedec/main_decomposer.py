@@ -72,17 +72,21 @@ class CaseTrace:
             lab + (f"[{d}]" if d else "") for lab, d in self.entries) + ")"
 
 
+_BASE_SPECS = {
+    "M0": ConstraintSpec.parse("1001,1001"),
+    "M1": ConstraintSpec.parse("1001,0000", relaxed=True),
+    "M2": ConstraintSpec.parse("1001,0000"),
+    "M3": ConstraintSpec.parse("1001,1000"),
+}
+
+
 def goal_spec(goal: Goal, cfg: Configuration) -> ConstraintSpec:
     w, x, y, z = cfg.path
     if goal == "M0":
-        return ConstraintSpec.parse("1001,1001", side_conditions=[
-            MatchedPartnerOnBoundary(w), MatchedPartnerOnBoundary(z)])
-    if goal == "M1":
-        return ConstraintSpec.parse("1001,0000", relaxed=True)
-    if goal == "M2":
-        return ConstraintSpec.parse("1001,0000")
-    if goal == "M3":
-        return ConstraintSpec.parse("1001,1000")
+        return _BASE_SPECS["M0"].with_conditions(
+            MatchedPartnerOnBoundary(w), MatchedPartnerOnBoundary(z))
+    if goal in ("M1", "M2", "M3"):
+        return _BASE_SPECS[goal]
     raise ValueError(f"unknown goal {goal}")
 
 
@@ -91,29 +95,37 @@ def goal_spec(goal: Goal, cfg: Configuration) -> ConstraintSpec:
 # ---------------------------------------------------------------------------
 
 def small_cycles(g: PlaneGraph, lengths=(4, 5)) -> list[tuple[int, ...]]:
-    """All cycles of the given lengths, canonically rooted, lexicographic."""
-    out: set[tuple[int, ...]] = set()
-    maxlen = max(lengths)
-    nbr = {v: sorted(g.neighbors(v)) for v in g.vertices()}
+    """All cycles of the given lengths (4, 5 or both), sorted.
 
-    def dfs(path: list[int]) -> None:
-        v = path[-1]
-        for u in nbr[v]:
-            if u == path[0] and len(path) in lengths:
-                cyc = path[:]
-                i = cyc.index(min(cyc))
-                cyc = cyc[i:] + cyc[:i]
-                if cyc[1] > cyc[-1]:
-                    cyc = [cyc[0]] + cyc[:0:-1]
-                out.add(tuple(cyc))
-            if u > path[0] and u not in path and len(path) < maxlen:
-                path.append(u)
-                dfs(path)
-                path.pop()
-
+    Each cycle appears once, canonically: rooted at its least vertex s, with
+    its second vertex a smaller than its last vertex b.  The cycles are
+    listed by neighbourhood intersection (Chiba & Nishizeki 1985): for each
+    pair a < b of neighbours of s above s, a 4-cycle (s, a, p, b) closes
+    through p in N(a) & N(b), and a 5-cycle (s, a, p, q, b) through p in N(a)
+    and q in N(p) & N(b), every vertex above s.  The graph need not be
+    triangle-free: the vertices of each cycle are checked to be distinct.
+    """
+    if not lengths or not set(lengths) <= {4, 5}:
+        raise ValueError(f"cycle lengths {tuple(lengths)} not among (4, 5)")
+    four, five = 4 in lengths, 5 in lengths
+    nb = [frozenset()] + [frozenset(r) for r in g.rotation]
+    out: list[tuple[int, ...]] = []
     for s in g.vertices():
-        dfs([s])
-    return sorted(out)
+        up = sorted(u for u in nb[s] if u > s)
+        for i, a in enumerate(up):
+            na = nb[a]
+            for b in up[i + 1:]:
+                nbb = nb[b]
+                if four:
+                    out.extend((s, a, p, b) for p in na & nbb
+                               if p > s and p != a and p != b)
+                if five:
+                    for p in na:
+                        if p > s and p != a and p != b:
+                            out.extend((s, a, p, q, b) for q in nb[p] & nbb
+                                       if q > s and q not in (a, p, b))
+    out.sort()
+    return out
 
 
 def cycle_sides(g: PlaneGraph, cycle: Sequence[int]) -> tuple[set[int], set[int]]:

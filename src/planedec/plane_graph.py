@@ -519,56 +519,83 @@ def classify_darts_by_cycle(g: PlaneGraph, cycle_edges: set[Edge]
     a dart steps to the next dart of its face, and to its reversal unless its
     edge is on the cycle.  All darts of a face land on the same side.
     """
-    outside = {g.outer}
-    stack = [g.outer]
-    while stack:
-        u, v = stack.pop()
-        d = g.face_next(u, v)
-        if d not in outside:
-            outside.add(d)
-            stack.append(d)
-        d = (v, u)
-        if d not in outside and und(u, v) not in cycle_edges:
-            outside.add(d)
-            stack.append(d)
+    outside: set[Edge] = set()
+    for _ in _side_darts(g, cycle_edges, g.outer, outside):
+        pass
     inside = {(v, u) for v in g.vertices() for u in g.neighbors(v)} - outside
     return inside, outside
 
 
+def _side_darts(g: PlaneGraph, cycle_edges: set[Edge], seed: Edge,
+                seen: set[Edge]) -> Iterator[Edge]:
+    """Yield the darts reachable from seed without crossing the cycle, seed
+    first, adding each to seen as it is yielded."""
+    seen.add(seed)
+    yield seed
+    stack = [seed]
+    while stack:
+        u, v = stack.pop()
+        d = g.face_next(u, v)
+        if d not in seen:
+            seen.add(d)
+            stack.append(d)
+            yield d
+        d = (v, u)
+        if d not in seen and und(u, v) not in cycle_edges:
+            seen.add(d)
+            stack.append(d)
+            yield d
+
+
 def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
-    """Int(C): everything drawn inside or on the cycle, with C as boundary."""
+    """Int(C): everything drawn inside or on the cycle, with C as boundary.
+
+    g must be connected.  Only the inside is flooded: the two darts of the
+    first cycle edge seed one flood per side, run in lockstep.  The side
+    that meets ``g.outer`` is the outside and its seed dart becomes the
+    piece's outer edge; the other side is flooded to its end, and its darts
+    and the vertices all of whose darts it holds make up Int(C).
+    """
     k = len(cycle)
     if k < 3 or len(set(cycle)) != k:
         raise PlaneGraphError("not a cycle")
     for i in range(k):
         if not g.has_edge(cycle[i], cycle[(i + 1) % k]):
             raise PlaneGraphError("not a cycle of g")
+    if not g.is_connected():
+        raise PlaneGraphError("Int(C) needs a connected graph")
     cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    inside, outside = classify_darts_by_cycle(g, cyc_edges)
+    a, b = cycle[0], cycle[1]
+    seeds = ((a, b), (b, a))
+    sides: tuple[set[Edge], set[Edge]] = (set(), set())
+    floods = [_side_darts(g, cyc_edges, seeds[j], sides[j]) for j in (0, 1)]
+    inner = None
+    while inner is None:
+        for j in (0, 1):
+            d = next(floods[j], None)
+            if d == g.outer:
+                inner = 1 - j
+                break
+            if d is None:
+                # side j closed without meeting g.outer, which therefore
+                # lies on the other side (g is connected)
+                inner = j
+                break
+    for _ in floods[inner]:
+        pass
+    inside = sides[inner]
 
     verts = set(cycle)
-    for v in g.vertices():
-        nbrs = g.neighbors(v)
-        if nbrs and all((v, u) in inside for u in nbrs):
+    for v in {u for u, _ in inside}:
+        if all((v, u) in inside for u in g.neighbors(v)):
             verts.add(v)
 
     def keep(u: int, v: int) -> bool:
         # keep an edge iff at least one of its two sides is an inside face
         return (u, v) in inside or (v, u) in inside
 
-    # outer directed edge of the piece: a cycle edge whose trace-side is outside
-    outer_edge = None
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        for de in ((a, b), (b, a)):
-            if de in outside:
-                outer_edge = de
-                break
-        if outer_edge:
-            break
-    if outer_edge is None:
-        raise PlaneGraphError("cycle has no outside face side")
-    return extract_piece(g, verts, keep_edge=keep, outer_parent_edge=outer_edge)
+    return extract_piece(g, verts, keep_edge=keep,
+                         outer_parent_edge=seeds[1 - inner])
 
 
 def component_pieces(g: PlaneGraph) -> list[Piece]:

@@ -3,9 +3,11 @@
 The hand-built larger instances reach branches the n <= 9 sweep cannot.
 Each is given abstractly (edge list plus intended outer cycle); the
 embedding is found by searching rotation systems, so only the combinatorial
-shape is hand-made.  ``grid`` builds grids and ladders far beyond n = 9, and
-``reference_outside_faces`` is the whole-graph face flood that the dart
-classification of ``plane_graph`` replaced, kept as its reference.
+shape is hand-made.  ``grid`` builds grids and ladders far beyond n = 9.
+The ``reference_*`` functions are the whole-graph scans that the library
+replaced with cheaper ones, kept as their references: the face flood behind
+the dart classification, the DFS behind ``small_cycles``, the outside flood
+behind ``int_subgraph`` and the window sets behind the path checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import functools
 import networkx as nx
 
 from planedec.oracle import enumerate_graphs, rotation_systems
-from planedec.plane_graph import Edge, PlaneGraph, und, validate
+from planedec.plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError,
+                                  classify_darts_by_cycle, extract_piece, und,
+                                  validate)
 
 
 def embed(n: int, edges: list[tuple[int, int]], outer_cycle: list[int]) -> PlaneGraph:
@@ -89,6 +93,107 @@ def grid(r: int, c: int) -> PlaneGraph:
 def face_test_graphs() -> tuple[PlaneGraph, ...]:
     """Every graph of enumerate_graphs(7), a 6 x 6 grid and a 2 x 12 ladder."""
     return (*enumerate_graphs(7), grid(6, 6), grid(2, 12))
+
+
+@functools.cache
+def large_grids() -> tuple[PlaneGraph, ...]:
+    """The k x k grids for 4 <= k <= 13 and the 2 x L ladders for
+    L = 10, 20, ..., 80: the full grids and ladders of the benchmark's
+    ``large`` workload that decompose quickly."""
+    return (*(grid(k, k) for k in range(4, 14)),
+            *(grid(2, L) for L in range(10, 90, 10)))
+
+
+def adjacency_graph(G: nx.Graph) -> PlaneGraph:
+    """G (any graph, triangles allowed) with vertices relabelled 1..n and
+    sorted neighbour lists as rotations: enough for searches that read only
+    neighbourhoods, such as ``small_cycles``."""
+    label = {v: i for i, v in enumerate(sorted(G), 1)}
+    rot = [tuple(sorted(label[u] for u in G[v])) for v in sorted(G)]
+    return PlaneGraph(rot, (1, rot[0][0]))
+
+
+def reference_small_cycles(g: PlaneGraph, lengths=(4, 5)) -> list[tuple[int, ...]]:
+    """All cycles of the given lengths by a DFS from every vertex, each
+    rotated to its least vertex and turned so that its second vertex is the
+    smaller neighbour of it, sorted."""
+    out: set[tuple[int, ...]] = set()
+    maxlen = max(lengths)
+    nbr = {v: sorted(g.neighbors(v)) for v in g.vertices()}
+
+    def dfs(path: list[int]) -> None:
+        v = path[-1]
+        for u in nbr[v]:
+            if u == path[0] and len(path) in lengths:
+                cyc = path[:]
+                i = cyc.index(min(cyc))
+                cyc = cyc[i:] + cyc[:i]
+                if cyc[1] > cyc[-1]:
+                    cyc = [cyc[0]] + cyc[:0:-1]
+                out.add(tuple(cyc))
+            if u > path[0] and u not in path and len(path) < maxlen:
+                path.append(u)
+                dfs(path)
+                path.pop()
+
+    for s in g.vertices():
+        dfs([s])
+    return sorted(out)
+
+
+def reference_int_subgraph(g: PlaneGraph, cycle: list[int]) -> Piece:
+    """Int(C) from the whole-graph dart classification: the outside is
+    flooded from g.outer, everything else is inside, and the piece's outer
+    edge is the first dart of the cycle's edges found outside."""
+    k = len(cycle)
+    cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
+    inside, outside = classify_darts_by_cycle(g, cyc_edges)
+    verts = set(cycle)
+    for v in g.vertices():
+        nbrs = g.neighbors(v)
+        if nbrs and all((v, u) in inside for u in nbrs):
+            verts.add(v)
+
+    def keep(u: int, v: int) -> bool:
+        return (u, v) in inside or (v, u) in inside
+
+    for i in range(k):
+        a, b = cycle[i], cycle[(i + 1) % k]
+        for de in ((a, b), (b, a)):
+            if de in outside:
+                return extract_piece(g, verts, keep_edge=keep, outer_parent_edge=de)
+    raise PlaneGraphError("cycle has no outside face side")
+
+
+@functools.lru_cache(maxsize=4)
+def _windows(g: PlaneGraph) -> list[tuple[int, ...]]:
+    """Every four consecutive vertices of the boundary walk, wrapping around
+    (cached, as tests probe one graph with many paths)."""
+    walk = g.boundary_walk.vertices
+    k = len(walk)
+    return [tuple(walk[(i + j) % k] for j in range(4)) for i in range(k)]
+
+
+def reference_check_config_path(g: PlaneGraph, path) -> str | None:
+    """``check_config_path`` against the set of all boundary 4-windows."""
+    if len(path) != 4 or len(set(path)) != 4:
+        return f"path {tuple(path)} is not four distinct vertices"
+    quads = set(_windows(g))
+    t = tuple(path)
+    if t in quads or tuple(reversed(t)) in quads:
+        return None
+    return f"path {t} is not consecutive on the boundary walk"
+
+
+def reference_path_orientation(g: PlaneGraph, path) -> int:
+    """``path_orientation`` by scanning every window, forward first."""
+    t = tuple(path)
+    quads = _windows(g)
+    if t in quads:
+        return 1
+    if tuple(reversed(t)) in quads:
+        return -1
+    raise PlaneGraphError(f"path {t} not on boundary walk")
 
 
 def reference_outside_faces(g: PlaneGraph, cycle_edges: set[Edge]

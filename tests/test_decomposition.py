@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from planedec.decomposition import (ConstraintSpec, Decomposition,
                                     EdgeInMatching, check_coloring,
-                                    defective_coloring, degeneracy_order,
+                                    check_config_path, defective_coloring,
+                                    degeneracy_order, path_orientation,
                                     verify, verify_21)
 from planedec.oracle import (brute_force, enumerate_configurations,
                              enumerate_graphs, verify_independent)
 from planedec.plane_graph import PlaneGraph, PlaneGraphError, cycle_graph
+
+import instances
 
 
 def test_verify_c4_pass():
@@ -130,3 +134,42 @@ def test_center_edge_readdition_lemma():
             assert extended.find_cycle() is None
             assert all(extended.out_degree(v) <= 2 for v in g.vertices())
             break
+
+
+def _path_probes(g):
+    """Every 4-tuple of boundary vertices on a short walk; on a long one,
+    each window, each window with one vertex moved a step along the walk,
+    and their reversals."""
+    walk = g.boundary_walk.vertices
+    if len(g.boundary_vertices) <= 7:
+        yield from itertools.product(sorted(g.boundary_vertices), repeat=4)
+        return
+    k = len(walk)
+    for i in range(k):
+        base = [i, i + 1, i + 2, i + 3]
+        for j, step in itertools.product(range(4), (0, -1, 1)):
+            pos = base[:]
+            pos[j] += step
+            t = tuple(walk[p % k] for p in pos)
+            yield t
+            yield t[::-1]
+
+
+def _orientation(orient, g, t):
+    """orient(g, t), or the message of the PlaneGraphError it raises."""
+    try:
+        return orient(g, t)
+    except PlaneGraphError as exc:
+        return str(exc)
+
+
+def test_path_checks_match_window_sets():
+    checked = oriented = 0
+    for g in (*instances.face_test_graphs(), *instances.large_grids()):
+        for t in _path_probes(g):
+            assert check_config_path(g, t) == instances.reference_check_config_path(g, t)
+            want = _orientation(instances.reference_path_orientation, g, t)
+            assert _orientation(path_orientation, g, t) == want
+            oriented += want in (1, -1)
+            checked += 1
+    assert checked > 100_000 and oriented > 5_000

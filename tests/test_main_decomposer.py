@@ -1,7 +1,9 @@
+import networkx as nx
 import pytest
 
 from planedec.config_algebra import Configuration
-from planedec.decomposition import verify, verify_21
+from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
+                                    verify, verify_21)
 from planedec.main_decomposer import (CaseTrace, PreconditionError,
                                       _bounds_face, decompose_21,
                                       decompose_config, goal_spec,
@@ -91,10 +93,51 @@ def test_separating_cycle_detection():
     assert has_separating_small_cycle(g) is None
 
 
+def _triangle_graphs():
+    """Graphs with triangles, where listing by neighbourhoods must reject
+    repeated vertices, and triangle-free graphs with many 5-cycles."""
+    return [instances.adjacency_graph(G) for G in (
+        nx.complete_graph(5), nx.wheel_graph(7), nx.octahedral_graph(),
+        nx.icosahedral_graph(), nx.triangular_lattice_graph(3, 4),
+        nx.petersen_graph(), nx.dodecahedral_graph(),
+        nx.complete_bipartite_graph(3, 3))]
+
+
+def test_small_cycles_match_reference_dfs():
+    graphs = [*instances.face_test_graphs(), *instances.large_grids(),
+              *_triangle_graphs()]
+    fours = fives = 0
+    for g in graphs:
+        want = instances.reference_small_cycles(g)
+        assert small_cycles(g) == want
+        assert small_cycles(g, (4,)) == instances.reference_small_cycles(g, (4,))
+        assert small_cycles(g, (5,)) == instances.reference_small_cycles(g, (5,))
+        fours += sum(len(c) == 4 for c in want)
+        fives += sum(len(c) == 5 for c in want)
+    assert fours > 1000 and fives > 100
+
+
+@pytest.mark.parametrize("lengths", [(), (3,), (4, 6)])
+def test_small_cycles_rejects_other_lengths(lengths):
+    with pytest.raises(ValueError, match="not among"):
+        small_cycles(cycle_graph(4), lengths)
+
+
+def test_goal_specs():
+    cfg = Configuration(cycle_graph(6), (1, 2, 3, 4))
+    assert goal_spec("M0", cfg) == ConstraintSpec.parse("1001,1001", side_conditions=[
+        MatchedPartnerOnBoundary(1), MatchedPartnerOnBoundary(4)])
+    assert goal_spec("M1", cfg) == ConstraintSpec.parse("1001,0000", relaxed=True)
+    assert goal_spec("M2", cfg) == ConstraintSpec.parse("1001,0000")
+    assert goal_spec("M3", cfg) == ConstraintSpec.parse("1001,1000")
+    with pytest.raises(ValueError, match="unknown goal"):
+        goal_spec("M4", cfg)
+
+
 def _reference_separating_cycle(g):
     """The first 4-/5-cycle with a vertex whose faces all lie inside and one
     whose faces all lie outside, every cycle tested by a face flood."""
-    for cyc in small_cycles(g):
+    for cyc in instances.reference_small_cycles(g):
         k = len(cyc)
         edges = {und(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
         face_of, outside = instances.reference_outside_faces(g, edges)
@@ -112,7 +155,7 @@ def test_separating_cycle_matches_face_flood():
         assert has_separating_small_cycle(g) == want
         found += want is not None
         faces = {frozenset(f) for f in g.faces}
-        for cyc in small_cycles(g):
+        for cyc in instances.reference_small_cycles(g):
             k = len(cyc)
             darts = frozenset((cyc[i], cyc[(i + 1) % k]) for i in range(k))
             rev = frozenset((v, u) for u, v in darts)

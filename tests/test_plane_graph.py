@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from planedec.decomposition import Decomposition
-from planedec.main_decomposer import small_cycles
 from planedec.oracle import enumerate_graphs
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
                                   chord_neighbors, classify_darts_by_cycle,
@@ -236,7 +235,7 @@ def test_dart_classification_matches_face_flood():
     for every 4-/5-cycle and every simple boundary cycle."""
     checked = 0
     for g in instances.face_test_graphs():
-        cycles = small_cycles(g)
+        cycles = instances.reference_small_cycles(g)
         if g.boundary_walk.is_simple_cycle():
             cycles.append(g.boundary_walk.vertices)
         for cyc in cycles:
@@ -250,3 +249,40 @@ def test_dart_classification_matches_face_flood():
                 assert set(face) <= (outside if f in out_faces else inside)
             checked += 1
     assert checked > 600
+
+
+def _same_piece(got, want):
+    return (got.graph.rotation == want.graph.rotation
+            and got.graph.outer == want.graph.outer
+            and got.to_parent == want.to_parent)
+
+
+def test_int_subgraph_matches_outside_flood():
+    """The inside-only flood gives the piece of the whole-graph dart
+    classification on every 4-/5-cycle, on both sides of every boundary
+    chord and on a simple boundary cycle."""
+    cycles = chord_sides = 0
+    for g in (*instances.face_test_graphs(), *instances.large_grids()):
+        for cyc in instances.reference_small_cycles(g):
+            assert _same_piece(int_subgraph(g, cyc),
+                               instances.reference_int_subgraph(g, cyc))
+            cycles += 1
+        walk = g.boundary_walk
+        if not walk.is_simple_cycle():
+            continue
+        sides = [walk.vertices]
+        for u, v in sorted(chords(g, walk)):
+            sides += [walk.stretch(v, u), walk.stretch(u, v)]
+            chord_sides += 2
+        for cyc in sides:
+            assert _same_piece(int_subgraph(g, cyc),
+                               instances.reference_int_subgraph(g, cyc))
+    assert cycles > 1000 and chord_sides > 200
+
+
+def test_int_subgraph_rejects_disconnected_graph():
+    # a 4-cycle beside a lone edge
+    g = PlaneGraph({1: (2, 4), 2: (3, 1), 3: (4, 2), 4: (1, 3), 5: (6,), 6: (5,)},
+                   (1, 2))
+    with pytest.raises(PlaneGraphError, match="connected"):
+        int_subgraph(g, [1, 2, 3, 4])
