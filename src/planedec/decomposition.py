@@ -354,9 +354,12 @@ def verify_21(g: PlaneGraph, dec: Decomposition) -> VerifyReport:
     cyc = dec.find_cycle()
     if cyc:
         return _fail("acyclic", f"directed cycle {cyc}")
+    outdeg = [0] * (g.n + 1)
+    for a, _ in dec.arcs:
+        outdeg[a] += 1
     for v in g.vertices():
-        if dec.out_degree(v) > 2:
-            return _fail("outdeg", f"out-degree {dec.out_degree(v)} at {v}")
+        if outdeg[v] > 2:
+            return _fail("outdeg", f"out-degree {outdeg[v]} at {v}")
     return VerifyReport(True)
 
 
@@ -397,9 +400,12 @@ def defective_coloring(g: PlaneGraph, dec: Decomposition) -> dict[int, int]:
     rep = verify_21(g, dec)
     if not rep:
         raise ValueError(f"not a valid decomposition: {rep.clause}: {rep.detail}")
+    out: dict[int, list[int]] = {v: [] for v in g.vertices()}
+    for a, b in dec.arcs:
+        out[a].append(b)
     colors: dict[int, int] = {}
     for v in degeneracy_order(dec, g.vertices()):
-        forbidden = {colors[w] for w in dec.out_neighbors(v)}
+        forbidden = {colors[w] for w in out[v]}
         colors[v] = min(c for c in (1, 2, 3) if c not in forbidden)
     return colors
 

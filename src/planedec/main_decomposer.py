@@ -5,8 +5,11 @@ case either reduces the configuration (deleting a light interior vertex,
 splitting at a cut vertex, a separating small cycle, or a boundary chord),
 delegates to the special-family constructions, or enters the two-chord /
 greedy-cycle machinery.  Cases are tried in the fixed order of the underlying
-argument, ties broken lexicographically, and every assembled decomposition is
-re-verified against the requested goal before being returned.
+argument, and every assembled decomposition is re-verified against the
+requested goal before being returned.  Ties are broken lexicographically,
+except in Claim 4: among the boundary chords that avoid x and y (each of
+which leaves the whole path on one side) it splits along the one that
+divides the boundary most evenly, so chains of chords recurse O(log n) deep.
 
 Goals:
     M0  (1001,1001) with both end vertices matched only to boundary vertices
@@ -663,16 +666,42 @@ def _chord_sides(g: PlaneGraph, u: int, v: int) -> tuple[Piece, Piece]:
             int_subgraph(g, walk.stretch(u, v)))
 
 
+def _balanced_chord(g: PlaneGraph, candidates: Sequence[Edge]) -> Edge:
+    """The chord that splits the boundary most evenly: the largest
+    min(d, k - d), where d is the walk distance between its ends; ties go
+    to the first chord in the given (sorted) order."""
+    pos = g.boundary_walk.position
+    k = len(g.boundary_walk)
+
+    def shorter_side(e: Edge) -> int:
+        d = abs(pos[e[0]] - pos[e[1]])
+        return min(d, k - d)
+
+    return max(candidates, key=shorter_side)
+
+
 def _claim4(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
+    """Split along a boundary chord and recurse on both sides.
+
+    Any chord avoiding x and y will do: its ends cut the boundary cycle
+    into two arcs, x and y lie inside one of them, and w and z lie on that
+    arc or are the chord's ends, so the whole path w-x-y-z stays on one
+    side and keeps the goal there; the other side takes M0 along the
+    chord.  Among those chords the most balanced one is taken
+    (``_balanced_chord``), so a chain of chords, as in a 2 x L ladder,
+    recurses O(log n) deep instead of once per chord.  When every chord
+    meets {x, y}, case 2 handles the chord at the centre.
+    """
     g = cfg.graph
     w, x, y, z = cfg.path
     ch = sorted(chords(g))
     avoid = [e for e in ch if not set(e) & {x, y}]
     if avoid:
-        u, v = avoid[0]
+        u, v = _balanced_chord(g, avoid)
         # side containing the centre edge keeps the whole path
-        for (a, b) in ((u, v), (v, u)):
-            side_with_path, other = _chord_sides(g, a, b)
+        sides = _chord_sides(g, u, v)
+        for (a, b), (side_with_path, other) in (((u, v), sides),
+                                                 ((v, u), sides[::-1])):
             if all(p in side_with_path.child_of for p in cfg.path):
                 break
         else:
@@ -1483,9 +1512,6 @@ def _claim9(cfg: Configuration, seq: list[int], i: int, j: int,
     g2 = int_subgraph(g, inner_cycle)
     icm = g2.child_of
     dprime = gp.lift(_obs_0000(_sub_config(gp, cfg.path), trace))
-    if (wi, wj) in dprime.arcs:
-        wi, wj = wj, wi
-        wim, wip, wjm, wjp = wjm, wjp, wim, wip
     gi = int_subgraph(g, walk.stretch(wim, wip) + (wi,))
     gj = int_subgraph(g, walk.stretch(wjm, wjp) + (wj,))
     gicm, gjcm = gi.child_of, gj.child_of
@@ -1497,7 +1523,8 @@ def _claim9(cfg: Configuration, seq: list[int], i: int, j: int,
     dj = gj.lift(_recurse(subj, "M0", trace))
     di = di.adjust(drop_arcs=[(wip, wi)])
     dj = dj.adjust(drop_arcs=[(wjm, wj)])
-    # directed-path dichotomy on G''
+    # directed-path dichotomy on G''; it covers either orientation of the
+    # chord wi-wj in D', so wi and wj keep their names
     has_path = _reaches(dprime, wi, wj)
     subg2 = Configuration(g2.graph, (icm[wjm], icm[wj], icm[wi], icm[wip]))
     d2 = g2.lift(_gpp_both(subg2, "1011" if has_path else "1101", trace))

@@ -244,23 +244,25 @@ class PlaneGraph:
     def boundary_is_cycle(self) -> bool:
         return self.boundary_walk.is_simple_cycle()
 
+    @cached_property
     def _boundary_maps(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(successor, predecessor) along the boundary cycle.  A boundary
+        that is not a simple cycle raises, and a raise is never cached."""
         if not self.boundary_is_cycle():
             raise PlaneGraphError("boundary is not a simple cycle")
         vs = self.boundary_walk.vertices
-        k = len(vs)
-        succ = {vs[i]: vs[(i + 1) % k] for i in range(k)}
-        pred = {vs[i]: vs[(i - 1) % k] for i in range(k)}
+        succ = dict(zip(vs, vs[1:] + vs[:1]))
+        pred = dict(zip(vs, vs[-1:] + vs[:-1]))
         return succ, pred
 
     def boundary_succ(self, v: int) -> int:
-        succ, _ = self._boundary_maps()
+        succ, _ = self._boundary_maps
         if v not in succ:
             raise PlaneGraphError(f"{v} is not a boundary vertex")
         return succ[v]
 
     def boundary_pred(self, v: int) -> int:
-        _, pred = self._boundary_maps()
+        _, pred = self._boundary_maps
         if v not in pred:
             raise PlaneGraphError(f"{v} is not a boundary vertex")
         return pred[v]

@@ -7,7 +7,8 @@ shape is hand-made.  ``grid`` builds grids and ladders far beyond n = 9.
 The ``reference_*`` functions are the whole-graph scans that the library
 replaced with cheaper ones, kept as their references: the face flood behind
 the dart classification, the DFS behind ``small_cycles``, the outside flood
-behind ``int_subgraph`` and the window sets behind the path checks.
+behind ``int_subgraph``, the window sets behind the path checks, and the
+per-vertex arc scans behind ``verify_21`` and ``defective_coloring``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import functools
 
 import networkx as nx
 
+from planedec.decomposition import (Decomposition, VerifyReport,
+                                    degeneracy_order)
 from planedec.oracle import enumerate_graphs, rotation_systems
 from planedec.plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError,
                                   classify_darts_by_cycle, extract_piece, und,
@@ -69,6 +72,21 @@ def final_instance() -> tuple[PlaneGraph, tuple[int, int, int, int]]:
     edges += [(4, 10), (6, 10), (6, 11), (8, 11), (8, 12), (1, 12),
               (10, 13), (11, 13), (12, 13)]
     return embed(13, edges, list(range(1, 10))), (1, 2, 3, 4)
+
+
+def claim9_chord_arc_instance() -> PlaneGraph:
+    """A spanning subgraph of the 5 x 5 grid (n = 25, m = 38, vertex (i, j)
+    is 1 + 5i + j) whose Claim 9 step finds the chord of the greedy cycle
+    oriented from wi to wj in D'."""
+    rot = ((2, 6), (3, 7, 1), (4, 2), (5, 9, 3), (10, 4), (1, 7, 11),
+           (2, 8, 12, 6), (9, 13, 7), (4, 10, 14, 8), (5, 15, 9), (6, 12, 16),
+           (7, 13, 17, 11), (8, 14, 12), (9, 15, 19, 13), (10, 20, 14),
+           (11, 17, 21), (12, 18, 22, 16), (19, 23, 17), (14, 20, 24, 18),
+           (15, 25, 19), (16, 22), (17, 23, 21), (18, 24, 22), (19, 25, 23),
+           (20, 24))
+    g = PlaneGraph(rot, (1, 2))
+    assert validate(g).ok
+    return g
 
 
 def grid(r: int, c: int) -> PlaneGraph:
@@ -213,3 +231,43 @@ def reference_outside_faces(g: PlaneGraph, cycle_edges: set[Edge]
                 outside.add(h)
                 stack.append(h)
     return face_of, outside
+
+
+def reference_verify_21(g: PlaneGraph, dec: Decomposition) -> VerifyReport:
+    """``verify_21`` with one scan of all arcs per vertex for the out-degree
+    cap."""
+    want = set(g.edges)
+    got = dec.covered_edges()
+    if len(got) != len(set(got)):
+        dup = sorted(e for e in set(got) if got.count(e) > 1)
+        return VerifyReport(False, "partition", f"edges covered twice: {dup}")
+    if set(got) != want:
+        return VerifyReport(False, "partition",
+                            f"missing={sorted(want - set(got))} "
+                            f"extra={sorted(set(got) - want)}")
+    touched: set[int] = set()
+    for u, v in dec.matching:
+        if u in touched or v in touched:
+            return VerifyReport(False, "matching",
+                                f"vertex covered twice by M near {u}-{v}")
+        touched.update((u, v))
+    cyc = dec.find_cycle()
+    if cyc:
+        return VerifyReport(False, "acyclic", f"directed cycle {cyc}")
+    for v in g.vertices():
+        if dec.out_degree(v) > 2:
+            return VerifyReport(False, "outdeg", f"out-degree {dec.out_degree(v)} at {v}")
+    return VerifyReport(True)
+
+
+def reference_defective_coloring(g: PlaneGraph, dec: Decomposition) -> dict[int, int]:
+    """``defective_coloring`` with one scan of all arcs per vertex for its
+    out-neighbours."""
+    rep = reference_verify_21(g, dec)
+    if not rep:
+        raise ValueError(f"not a valid decomposition: {rep.clause}: {rep.detail}")
+    colors: dict[int, int] = {}
+    for v in degeneracy_order(dec, g.vertices()):
+        forbidden = {colors[w] for w in dec.out_neighbors(v)}
+        colors[v] = min(c for c in (1, 2, 3) if c not in forbidden)
+    return colors

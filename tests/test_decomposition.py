@@ -10,7 +10,8 @@ from planedec.decomposition import (ConstraintSpec, Decomposition,
                                     verify, verify_21)
 from planedec.oracle import (brute_force, enumerate_configurations,
                              enumerate_graphs, verify_independent)
-from planedec.plane_graph import PlaneGraph, PlaneGraphError, cycle_graph
+from planedec.main_decomposer import decompose_21
+from planedec.plane_graph import PlaneGraph, PlaneGraphError, cycle_graph, und
 
 import instances
 
@@ -103,6 +104,64 @@ def _random_decomposition(g, rng):
         else:
             arcs.append((u, v))
     return Decomposition.of(arcs, matching)
+
+
+def _broken_copies(g, dec):
+    """dec broken four ways where g allows it: a vertex given out-degree 3,
+    an inner face oriented as a directed cycle, a vertex matched twice, and
+    an edge left uncovered."""
+    arcs, matching = set(dec.arcs), set(dec.matching)
+
+    def without(edges):
+        gone = {und(*e) for e in edges}
+        return ({a for a in arcs if und(*a) not in gone},
+                {e for e in matching if e not in gone})
+
+    hub = next((v for v in g.vertices() if g.degree(v) >= 3), None)
+    if hub is not None:
+        out = [(hub, u) for u in g.neighbors(hub)]
+        a, m = without(out)
+        yield Decomposition.of(a | set(out), m)
+    for i, face in enumerate(g.faces):
+        if i != g.outer_face_id:
+            a, m = without(face)
+            yield Decomposition.of(a | set(face), m)
+            break
+    fork = next((v for v in g.vertices() if g.degree(v) >= 2), None)
+    if fork is not None:
+        pair = [(fork, u) for u in g.neighbors(fork)[:2]]
+        a, m = without(pair)
+        yield Decomposition.of(a, m | set(pair))
+    if arcs:
+        yield Decomposition.of(arcs - {min(arcs)}, matching)
+    elif matching:
+        yield Decomposition.of(arcs, matching - {min(matching)})
+
+
+def _outcome(fn, g, dec):
+    """fn(g, dec), or the message of the ValueError it raises."""
+    try:
+        return fn(g, dec)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_whole_graph_checks_match_arc_scans():
+    """verify_21 and defective_coloring, which tally out-arcs once, agree
+    with the per-vertex arc scans on valid, broken and random
+    decompositions."""
+    rng = random.Random(8)
+    clauses = set()
+    graphs = (*enumerate_graphs(7), instances.grid(2, 60), instances.grid(7, 7))
+    for g in graphs:
+        dec, _ = decompose_21(g)
+        for d in (dec, *_broken_copies(g, dec), _random_decomposition(g, rng)):
+            want = instances.reference_verify_21(g, d)
+            assert verify_21(g, d) == want
+            clauses.add(want.clause)
+            assert (_outcome(defective_coloring, g, d)
+                    == _outcome(instances.reference_defective_coloring, g, d))
+    assert clauses == {"", "partition", "matching", "acyclic", "outdeg"}
 
 
 def test_verify_agrees_with_independent_reimplementation():

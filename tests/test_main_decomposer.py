@@ -3,14 +3,16 @@ import pytest
 
 from planedec.config_algebra import Configuration
 from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
-                                    verify, verify_21)
+                                    check_coloring, defective_coloring, verify,
+                                    verify_21)
 from planedec.main_decomposer import (CaseTrace, PreconditionError,
-                                      _bounds_face, decompose_21,
+                                      _balanced_chord, _bounds_face,
+                                      decompose_21,
                                       decompose_config, goal_spec,
                                       has_separating_small_cycle,
                                       resolve_two_chords, small_cycles)
 from planedec.oracle import enumerate_configurations, enumerate_graphs
-from planedec.plane_graph import PlaneGraph, cycle_graph, und
+from planedec.plane_graph import PlaneGraph, chords, cycle_graph, und
 
 import instances
 
@@ -170,6 +172,40 @@ def test_decompose_21_grid_and_ladder(r, c):
     g = instances.grid(r, c)
     dec, _ = decompose_21(g)
     assert verify_21(g, dec).ok
+
+
+def test_ladder_2x1000_decomposes_without_deep_recursion():
+    """Claim 4 splits a ladder at its middle rung, so the 2 x 1000 ladder
+    (n = 2000) stays far inside the default recursion limit; each of its
+    998 inner rungs is split once."""
+    g = instances.grid(2, 1000)
+    dec, trace = decompose_21(g)
+    assert verify_21(g, dec).ok
+    assert check_coloring(g, dec, defective_coloring(g, dec)).ok
+    assert sum(lab == "Claim4" for lab, _ in trace.entries) == 998
+
+
+def test_claim9_with_the_chord_arc_from_wi_to_wj():
+    """With the arc (wi, wj) in D', Claim 9 still reads the path of G''
+    through vertices of G''."""
+    g = instances.claim9_chord_arc_instance()
+    dec, trace = decompose_21(g)
+    assert "Claim9" in trace.labels()
+    assert verify_21(g, dec).ok
+
+
+@pytest.mark.parametrize("L", [4, 5, 10, 11, 40, 41])
+def test_balanced_chord_is_the_middle_rung(L):
+    """Rung j of the 2 x L ladder joins j + 1 and L + j + 1 and cuts the
+    boundary walk into sides of 2j + 1 and 2(L - j) - 1 steps.  An odd L
+    has one middle rung; an even L has two equally balanced ones, and the
+    first in sorted order wins."""
+    g = instances.grid(2, L)
+    rungs = sorted(chords(g))
+    assert rungs == [(j + 1, L + j + 1) for j in range(1, L - 1)]
+    j = (L - 1) // 2
+    assert _balanced_chord(g, rungs) == (j + 1, L + j + 1)
+    assert _balanced_chord(g, rungs[::-1]) == (L // 2 + 1, L + L // 2 + 1)
 
 
 def test_decompose_21_c4():

@@ -95,8 +95,29 @@ def test_boundary_succ_pred():
 def test_boundary_succ_rejects_non_two_connected():
     g = PlaneGraph({1: (2, 4), 2: (1, 3), 3: (2, 4), 4: (3, 5, 1), 5: (4,)},
                    (1, 2))
-    with pytest.raises(PlaneGraphError):
-        g.boundary_succ(1)
+    for _ in range(2):  # the refusal is not cached away
+        for step in (g.boundary_succ, g.boundary_pred):
+            with pytest.raises(PlaneGraphError, match="not a simple cycle"):
+                step(1)
+
+
+def test_boundary_succ_pred_follow_the_walk():
+    simple = 0
+    for g in instances.face_test_graphs():
+        walk = g.boundary_walk.vertices
+        if not g.boundary_is_cycle():
+            continue
+        simple += 1
+        k = len(walk)
+        for _ in range(2):  # a second pass reads the cached maps
+            for i, v in enumerate(walk):
+                assert g.boundary_succ(v) == walk[(i + 1) % k]
+                assert g.boundary_pred(v) == walk[i - 1]
+        inner = next((v for v in g.vertices() if v not in g.boundary_vertices), None)
+        if inner is not None:
+            with pytest.raises(PlaneGraphError, match="not a boundary vertex"):
+                g.boundary_pred(inner)
+    assert simple > 50
 
 
 def test_blocks_single_cycle():
