@@ -1,12 +1,15 @@
 """The recursive decomposition algorithm and the whole-graph wrapper.
 
 ``decompose_config`` realises the inductive argument as a case ladder: each
-case either reduces the configuration (deleting a light interior vertex,
+case either reduces the configuration (deleting light interior vertices,
 splitting at a cut vertex, a separating small cycle, or a boundary chord),
 delegates to the special-family constructions, or enters the two-chord /
 greedy-cycle machinery.  Cases are tried in the fixed order of the underlying
 argument, and every assembled decomposition is re-verified against the
-requested goal before being returned.  Ties are broken lexicographically,
+requested goal before being returned.  Claim 1 is one level: the interior
+vertices of degree <= 2 are peeled smallest first, with no graph built per
+vertex, the rest is decomposed by one recursive call, and each comes back
+as a source of at most two arcs.  Ties are broken lexicographically,
 except in Claim 4: among the boundary chords that avoid x and y (each of
 which leaves the whole path on one side) it splits along the one that
 divides the boundary most evenly, so chains of chords recurse O(log n) deep.
@@ -29,7 +32,8 @@ from .decomposition import (ConstraintSpec, Decomposition,
                             MatchedPartnerOnBoundary, und, verify, verify_21)
 from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
                           classify_darts_by_cycle, component_pieces,
-                          extract_piece, int_subgraph, two_chords, validate)
+                          extract_piece, int_subgraph, light_peel, two_chords,
+                          validate)
 from .special_decomposer import ClauseRequest, decompose_special, \
     decompose_p2_shifted
 
@@ -283,22 +287,31 @@ def _recurse(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
     return dec
 
 
+def _claim1_peel(g: PlaneGraph, trace: CaseTrace) -> list[tuple[int, int, list[int]]]:
+    """Claim 1 to exhaustion: ``light_peel(g)``, each deleted vertex traced
+    as ``delete`` its id in the graph left.  No verify is due between two
+    deletions: a re-attached vertex is interior, with no in-arc, no matching
+    edge and out-degree at most 2 (its degree then), so the verify of the
+    rest and the caller's cover it."""
+    peeled = light_peel(g)
+    for _, rank, _ in peeled:
+        trace.add("Claim1", f"delete {rank}")
+    return peeled
+
+
 def _dispatch(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
     g = cfg.graph
     w, x, y, z = cfg.path
 
-    # Claim 1: an interior vertex of degree <= 2 is deleted and re-attached
-    light = [v for v in sorted(g.vertices())
-             if v not in g.boundary_vertices and g.degree(v) <= 2]
-    for v in light:
-        piece = extract_piece(g, set(g.vertices()) - {v},
+    # Claim 1: interior vertices of degree <= 2 are peeled off in one pass,
+    # the rest is decomposed once, and each peeled vertex is re-attached by
+    # arcs to its neighbours that outlived it
+    peeled = _claim1_peel(g, trace)
+    if peeled:
+        piece = extract_piece(g, set(g.vertices()) - {v for v, _, _ in peeled},
                               outer_parent_edge=g.outer)
-        if not piece.graph.is_connected():
-            continue
-        trace.add("Claim1", f"delete {v}")
-        sub = _sub_config(piece, cfg.path)
-        dec = piece.lift(_recurse(sub, goal, trace))
-        return dec.adjust(add_arcs=[(v, q) for q in g.neighbors(v)])
+        dec = piece.lift(_recurse(_sub_config(piece, cfg.path), goal, trace))
+        return dec.adjust(add_arcs=[(v, q) for v, _, out in peeled for q in out])
 
     # Claim 2: cut vertices
     if not g.is_two_connected():
@@ -466,45 +479,28 @@ def _claim2(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
         hp = extract_piece(g, hverts, outer_parent_edge=(x, y))
         hcm = hp.child_of
         hg = hp.graph
+        hgoal: Goal = goal
         if w_in and z_in:
-            hcfg = Configuration(hg, (hcm[w], hcm[x], hcm[y], hcm[z]))
-            hdec = hp.lift(_recurse(hcfg, goal, trace))
-        elif not w_in and not z_in:
-            xm = hg.boundary_pred(hcm[x])
-            yp = hg.boundary_succ(hcm[y])
-            hcfg = Configuration(hg, (xm, hcm[x], hcm[y], yp))
-            hgoal: Goal = "M1" if goal == "M1" else "M0"
-            hdec = hp.lift(_recurse(hcfg, hgoal, trace))
+            quad = (hcm[w], hcm[x], hcm[y], hcm[z])
+        elif not w_in and z_in and goal == "M3":
+            # w hangs off x; the whole path's tail sits in H, and the
+            # precondition (no R(xyz)-containment) transfers to H
+            quad = (hg.boundary_pred(hcm[x]), hcm[x], hcm[y], hcm[z])
+        elif not w_in and z_in:
+            # mirror: swap the roles of (w, x) and (z, y)
+            return _claim2(Configuration(g.reflect(), (z, y, x, w)),
+                           goal, trace)
+        elif w_in and goal == "M2":
+            # z hangs off y: (H, y+ y x w) with goal M3 makes w unmatched too
+            quad = (hg.boundary_succ(hcm[y]), hcm[y], hcm[x], hcm[w])
+            hgoal = "M3"
         else:
-            if not w_in and goal == "M3":
-                # w hangs off x; the whole path's tail sits in H, and the
-                # precondition (no R(xyz)-containment) transfers to H
-                xm = hg.boundary_pred(hcm[x])
-                hcfg = Configuration(hg, (xm, hcm[x], hcm[y], hcm[z]))
-                hdec = hp.lift(_recurse(hcfg, "M3", trace))
-                dec = hdec.union(*bridge_parts) if bridge_parts else hdec
-                return dec.adjust(add_arcs=bridge_arcs)
-            if not w_in:
-                # mirror: swap the roles of (w, x) and (z, y)
-                return _claim2(Configuration(g.reflect(), (z, y, x, w)),
-                               goal, trace)
-            # w in H, z hanging at y
-            if goal in ("M0", "M1"):
-                xm = hg.boundary_pred(hcm[x])
-                yp = hg.boundary_succ(hcm[y])
-                hcfg = Configuration(hg, (xm, hcm[x], hcm[y], yp))
-                hgoal = "M1" if goal == "M1" else "M0"
-                hdec = hp.lift(_recurse(hcfg, hgoal, trace))
-            elif goal == "M3":
-                # the M0-style assembly already leaves z unmatched with one arc
-                xm = hg.boundary_pred(hcm[x])
-                yp = hg.boundary_succ(hcm[y])
-                hcfg = Configuration(hg, (xm, hcm[x], hcm[y], yp))
-                hdec = hp.lift(_recurse(hcfg, "M0", trace))
-            else:  # M2: (H, y+ y x w) with goal M3 makes w unmatched too
-                yp = hg.boundary_succ(hcm[y])
-                hcfg = Configuration(hg, (yp, hcm[y], hcm[x], hcm[w]))
-                hdec = hp.lift(_recurse(hcfg, "M3", trace))
+            # neither end in H, or z hanging off y under M0, M1 or M3 (the
+            # M0-style assembly already leaves z unmatched with one arc)
+            quad = (hg.boundary_pred(hcm[x]), hcm[x], hcm[y],
+                    hg.boundary_succ(hcm[y]))
+            hgoal = "M1" if goal == "M1" else "M0"
+        hdec = hp.lift(_recurse(Configuration(hg, quad), hgoal, trace))
     dec = hdec.union(*bridge_parts) if bridge_parts else hdec
     return dec.adjust(add_arcs=bridge_arcs)
 
@@ -1703,7 +1699,12 @@ def find_boundary_path(g: PlaneGraph) -> tuple[int, int, int, int] | None:
 
 def decompose_21(g: PlaneGraph) -> tuple[Decomposition, CaseTrace]:
     """A whole-graph decomposition into an acyclic orientation of maximum
-    out-degree two plus a matching; the trace records the case ladder."""
+    out-degree two plus a matching; the trace records the case ladder.  g
+    may have several components; any other invalid input raises a plain
+    ``PlaneGraphError``, never a counterexample."""
+    bad = [f for f in validate(g).failures if f[0] != "connected"]
+    if bad:
+        raise PlaneGraphError(f"invalid plane graph: {bad}")
     trace = CaseTrace()
     parts: list[Decomposition] = []
     for piece in component_pieces(g):

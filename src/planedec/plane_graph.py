@@ -15,6 +15,8 @@ vertex of that trace.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -380,29 +382,31 @@ class PlaneGraph:
 def validate(g: PlaneGraph) -> ValidationReport:
     """Check every standing invariant; callers reject on any failure."""
     rep = ValidationReport()
+    nb = [frozenset(r) for r in g.rotation]
     for v in g.vertices():
-        nbrs = g.neighbors(v)
-        if v in nbrs:
+        if v in nb[v - 1]:
             rep.add("simple", f"loop at {v}")
-        if len(set(nbrs)) != len(nbrs):
+        if len(nb[v - 1]) != g.degree(v):
             rep.add("simple", f"repeated neighbour in rotation of {v}")
     for v in g.vertices():
         for u in g.neighbors(v):
-            if v not in g.neighbors(u):
+            if v not in nb[u - 1]:
                 rep.add("symmetry", f"{u} in rotation of {v} but not conversely")
     if rep.failures:
         return rep
     if not g.is_connected():
         rep.add("connected", f"{len(g.components)} components")
     # each component is traced separately, so a valid embedding satisfies
-    # n - m + f = 2c (every component contributes its own unbounded trace)
-    f = len(g.faces)
+    # n - m + f = 2c (every component contributes its own unbounded trace;
+    # an isolated vertex has no darts to trace, and its one face is counted)
+    f = (len(g.faces) if g.m else 0) + sum(not r for r in g.rotation)
     expected = 2 * len(g.components)
     if g.n - g.m + f != expected:
         rep.add("euler", f"n-m+f = {g.n}-{g.m}+{f} != {expected}; not a plane embedding")
-    tris = g.triangles()
-    if tris:
-        rep.add("triangle-free", f"triangle {tris[0]}")
+    # an edge whose ends share a neighbour closes a triangle
+    if any(not nb[v - 1].isdisjoint(g.neighbors(u))
+           for v in g.vertices() for u in g.neighbors(v) if u > v):
+        rep.add("triangle-free", f"triangle {g.triangles()[0]}")
     return rep
 
 
@@ -619,6 +623,66 @@ def component_pieces(g: PlaneGraph) -> list[Piece]:
             a = min(v for v in comp if g.neighbors(v))
             oe = (a, g.neighbors(a)[0])
         out.append(extract_piece(g, comp, outer_parent_edge=oe))
+    return out
+
+
+def light_peel(g: PlaneGraph) -> list[tuple[int, int, list[int]]]:
+    """Delete interior vertices of degree <= 2 from g, the smallest that
+    leaves the graph connected each time, until none can go (a smallest-last
+    peeling, Matula & Beck 1983).  Per deleted vertex, in order: the vertex,
+    its id among the vertices left (the id ``extract_piece`` would give it)
+    and its neighbours left.  Deleting interior vertices keeps the boundary
+    walk and the outer edge, so this is the sequence that one
+    ``extract_piece`` per deleted vertex would give, with no graph built.
+
+    Candidates wait in a heap.  Deletions never join the two sides of a cut
+    vertex, so one that fails is pushed again only when a neighbour of it
+    goes.  In a connected plane graph a vertex of degree 2 is a cut vertex
+    iff its two angles lie on one face: two face walks in lockstep tell, in
+    the steps of the shorter face.  From two components only a lone vertex
+    can go, after which every candidate is tried again.
+    """
+    bset = g.boundary_vertices
+    heap = [v for v in g.vertices() if g.degree(v) <= 2 and v not in bset]
+    if not heap:
+        return []
+    comps = len(g.components)
+    rows: dict[int, list[int]] = {}     # rotations shrunk by deletions
+    gone: list[int] = []                # deleted so far, sorted
+    out: list[tuple[int, int, list[int]]] = []
+
+    def step(u: int, v: int) -> Edge:
+        r = rows.get(v, g.rotation[v - 1])
+        i = r.index(u) + 1
+        return v, r[i] if i < len(r) else r[0]
+
+    def cut(v: int, a: int, b: int) -> bool:
+        d, e = (a, v), (b, v)
+        while True:
+            d, e = step(*d), step(*e)
+            if d == (b, v) or e == (a, v):
+                return True
+            if d == (a, v) or e == (b, v):
+                return False
+
+    while heap:
+        v = heapq.heappop(heap)
+        r = rows.get(v, g.rotation[v - 1])
+        i = bisect.bisect_left(gone, v)
+        if (i < len(gone) and gone[i] == v) or comps != 1 + (not r) \
+                or (len(r) == 2 and cut(v, *r)):
+            continue
+        gone.insert(i, v)
+        out.append((v, v - i, list(r)))
+        for q in r:
+            rq = rows.setdefault(q, list(g.rotation[q - 1]))
+            rq.remove(v)
+            if len(rq) <= 2 and q not in bset:
+                heapq.heappush(heap, q)
+        if comps == 2:
+            comps = 1
+            heap = [u for u in g.vertices() if g.degree(u) <= 2
+                    and u not in bset and u not in gone]
     return out
 
 

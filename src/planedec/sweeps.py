@@ -69,14 +69,19 @@ class SweepStats:
 
 
 def sweep_theorem(max_n: int, stats: SweepStats | None = None,
-                  graphs: Iterable[PlaneGraph] | None = None) -> SweepStats:
-    """Criterion: every enumerated graph gets a verified (2,1)-decomposition."""
+                  graphs: Iterable[PlaneGraph] | None = None,
+                  outputs: list | None = None) -> SweepStats:
+    """Criterion: every enumerated graph gets a verified (2,1)-decomposition.
+    Each success is appended to ``outputs``, if given, as (graph,
+    decomposition, trace)."""
     stats = stats or SweepStats()
     for g in (graphs if graphs is not None else enumerate_graphs(max_n)):
         stats.graphs += 1
         try:
             dec, trace = decompose_21(g)
             stats.count_labels(trace)
+            if outputs is not None:
+                outputs.append((g, dec, trace))
         except Exception as exc:  # noqa: BLE001 - failures are collected
             stats.failures.append(f"decompose_21 n={g.n} {g.rotation}: {exc}")
     return stats

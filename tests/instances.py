@@ -3,17 +3,20 @@
 The hand-built larger instances reach branches the n <= 9 sweep cannot.
 Each is given abstractly (edge list plus intended outer cycle); the
 embedding is found by searching rotation systems, so only the combinatorial
-shape is hand-made.  ``grid`` builds grids and ladders far beyond n = 9.
-The ``reference_*`` functions are the whole-graph scans that the library
+shape is hand-made.  ``grid``, ``subdivided_ladder`` and ``grid_subgraph``
+build grids, ladders and their relatives far beyond n = 9.  The
+``reference_*`` functions are the whole-graph scans that the library
 replaced with cheaper ones, kept as their references: the face flood behind
 the dart classification, the DFS behind ``small_cycles``, the outside flood
-behind ``int_subgraph``, the window sets behind the path checks, and the
-per-vertex arc scans behind ``verify_21`` and ``defective_coloring``.
+behind ``int_subgraph``, the window sets behind the path checks, the
+per-vertex arc scans behind ``verify_21`` and ``defective_coloring``, and
+the one piece per deleted vertex behind ``light_peel``.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 
 import networkx as nx
 
@@ -271,3 +274,73 @@ def reference_defective_coloring(g: PlaneGraph, dec: Decomposition) -> dict[int,
         forbidden = {colors[w] for w in dec.out_neighbors(v)}
         colors[v] = min(c for c in (1, 2, 3) if c not in forbidden)
     return colors
+
+
+def subdivided_ladder(L: int) -> PlaneGraph:
+    """The 2 x L ladder with each of its L - 2 inner rungs subdivided once
+    (n = 3L - 2): rung j, joining j + 1 and L + j + 1, gets the midpoint
+    2L + j, an interior vertex of degree 2."""
+    lad = grid(2, L)
+    mid = {}
+    for j in range(1, L - 1):
+        mid[j + 1, L + j + 1] = mid[L + j + 1, j + 1] = 2 * L + j
+    rot = [tuple(mid.get((v, u), u) for u in lad.neighbors(v))
+           for v in lad.vertices()]
+    rot += [(j + 1, L + j + 1) for j in range(1, L - 1)]
+    g = PlaneGraph(rot, lad.outer)
+    assert validate(g).ok
+    return g
+
+
+def grid_subgraph(k: int, keep_share: float, seed: int) -> PlaneGraph:
+    """A seeded connected spanning subgraph of the k x k grid: a random
+    spanning tree (Kruskal over shuffled edges) plus each other edge with
+    probability keep_share."""
+    full = grid(k, k)
+    rng = random.Random(seed)
+    edges = sorted(full.edges)
+    rng.shuffle(edges)
+    root = list(range(k * k + 1))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    dropped = set()
+    for u, v in edges:
+        a, b = find(u), find(v)
+        if a != b:
+            root[a] = b
+        elif rng.random() >= keep_share:
+            dropped.add((u, v))
+    rot = [tuple(u for u in full.neighbors(v) if und(u, v) not in dropped)
+           for v in full.vertices()]
+    # dropping edges merges faces into the outer one, never out of it
+    outer = next(d for d in full.trace_face(*full.outer) if und(*d) not in dropped)
+    g = PlaneGraph(rot, outer)
+    assert validate(g).ok
+    return g
+
+
+def reference_claim1_order(g: PlaneGraph) -> list[tuple[int, int, list[int]]]:
+    """Claim 1 as one recursion level per vertex: at each level the first
+    interior vertex of degree <= 2, in id order, whose deletion leaves the
+    piece connected.  Gives (its id at its level, its id in g, its
+    neighbours at its level as ids in g) per deleted vertex, in order."""
+    out = []
+    to_g = list(g.vertices())
+    while True:
+        for v in g.vertices():
+            if v in g.boundary_vertices or g.degree(v) > 2:
+                continue
+            piece = extract_piece(g, set(g.vertices()) - {v},
+                                  outer_parent_edge=g.outer)
+            if piece.graph.is_connected():
+                out.append((v, to_g[v - 1],
+                            sorted(to_g[q - 1] for q in g.neighbors(v))))
+                to_g = [to_g[p - 1] for p in piece.to_parent]
+                g = piece.graph
+                break
+        else:
+            return out

@@ -172,6 +172,20 @@ def test_cli_color():
     assert out["valid"] and out["max_defect"] <= 1
 
 
+W6_TEXT = ("1: 2 3 4 5 6 7\n2: 3 1 7\n3: 4 1 2\n4: 5 1 3\n5: 6 1 4\n"
+           "6: 7 1 5\n7: 2 1 6\nouter: 2 3\n")
+
+
+def test_cli_color_rejects_a_graph_with_triangles():
+    """The wheel W6 is a plane graph, but not triangle-free: bad input, not
+    a counterexample."""
+    proc = run_cli(["color"], stdin=W6_TEXT.encode())
+    assert proc.returncode == 1 and proc.stdout == b""
+    err = json.loads(proc.stderr)
+    assert err["kind"] == "PlaneGraphError"
+    assert "triangle-free" in err["error"]
+
+
 def test_cli_usage_error_exit_2():
     proc = run_cli(["decompose", "--goal", "M0"], stdin=C4_TEXT.encode())
     assert proc.returncode == 2

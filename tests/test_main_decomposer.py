@@ -1,3 +1,5 @@
+import sys
+
 import networkx as nx
 import pytest
 
@@ -5,14 +7,16 @@ from planedec.config_algebra import Configuration
 from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
                                     check_coloring, defective_coloring, verify,
                                     verify_21)
-from planedec.main_decomposer import (CaseTrace, PreconditionError,
-                                      _balanced_chord, _bounds_face,
+from planedec.main_decomposer import (CaseTrace, DecomposeError,
+                                      PreconditionError, _balanced_chord,
+                                      _bounds_face, _claim1_peel,
                                       decompose_21,
                                       decompose_config, goal_spec,
                                       has_separating_small_cycle,
                                       resolve_two_chords, small_cycles)
 from planedec.oracle import enumerate_configurations, enumerate_graphs
-from planedec.plane_graph import PlaneGraph, chords, cycle_graph, und
+from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
+                                  cycle_graph, und)
 
 import instances
 
@@ -183,6 +187,95 @@ def test_ladder_2x1000_decomposes_without_deep_recursion():
     assert verify_21(g, dec).ok
     assert check_coloring(g, dec, defective_coloring(g, dec)).ok
     assert sum(lab == "Claim4" for lab, _ in trace.entries) == 998
+
+
+def _peel_order(g):
+    """(label, id in g, sorted out-neighbours) per vertex _claim1_peel
+    deletes, the label read from its trace entry."""
+    trace = CaseTrace()
+    peeled = _claim1_peel(g, trace)
+    assert [lab for lab, _ in trace.entries] == ["Claim1"] * len(peeled)
+    return [(int(detail.removeprefix("delete ")), v, sorted(out))
+            for (_, detail), (v, _, out) in zip(trace.entries, peeled)]
+
+
+def _with_lone_vertices(g):
+    """g beside a lone vertex with the first, a middle or the last id, and
+    g beside two lone vertices."""
+    out = [PlaneGraph(g.rotation + ((), ()), g.outer)]
+    for k in (1, g.n // 2 + 1, g.n + 1):
+        def up(u):
+            return u + (u >= k)
+        rot = [tuple(map(up, r)) for r in g.rotation]
+        rot.insert(k - 1, ())
+        out.append(PlaneGraph(rot, tuple(map(up, g.outer))))
+    return out
+
+
+def test_claim1_peel_matches_the_per_level_rule():
+    """The peel deletes the vertices, in the order, under the labels and
+    with the out-arcs that one recursion level per vertex gave: on every
+    graph with n <= 8, the grids and ladders of large_grids(), seeded grid
+    subgraphs and subdivided ladders, and (for the connectivity test) some
+    of them beside lone vertices."""
+    graphs = [*enumerate_graphs(8), *instances.large_grids(),
+              *(instances.grid_subgraph(k, share, seed) for k in (4, 6, 8, 10)
+                for share in (0.0, 0.25, 0.5) for seed in range(4)),
+              *(instances.subdivided_ladder(L) for L in (3, 4, 5, 10, 30))]
+    graphs += [h for g in graphs[:300:3] if g.m for h in _with_lone_vertices(g)]
+    peeled = deleted = 0
+    for g in graphs:
+        want = instances.reference_claim1_order(g)
+        assert _peel_order(g) == want, (g.rotation, g.outer)
+        peeled += bool(want)
+        deleted += len(want)
+    # cut vertices of degree 2 are skipped, and deletions make new candidates
+    assert peeled > 1000 and deleted > 4000
+
+
+def test_subdivided_ladder_peels_every_rung_midpoint():
+    """The 2 x 85 ladder with its 83 inner rungs subdivided (n = 253): one
+    Claim 1 entry per midpoint, then the 170-cycle that is left."""
+    g = instances.subdivided_ladder(85)
+    assert g.n == 253
+    dec, trace = decompose_21(g)
+    assert verify_21(g, dec).ok
+    assert check_coloring(g, dec, defective_coloring(g, dec)).ok
+    assert sum(lab == "Claim1" for lab, _ in trace.entries) == 83
+
+
+@pytest.mark.parametrize("L", [60, 85])
+def test_subdivided_ladder_under_a_low_recursion_limit(L):
+    """The peel recurses once for all the midpoints, not once per midpoint,
+    so 150 frames above the caller suffice."""
+    g = instances.subdivided_ladder(L)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        dec, _ = decompose_21(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert verify_21(g, dec).ok
+
+
+def test_decompose_21_rejects_a_wheel():
+    """W6 is a plane graph with triangles: PlaneGraphError, not a
+    counterexample to the theorem."""
+    rim = list(range(2, 8))
+    rot = [tuple(rim)] + [(rim[(i + 1) % 6], 1, rim[i - 1]) for i in range(6)]
+    with pytest.raises(PlaneGraphError, match="triangle-free") as exc:
+        decompose_21(PlaneGraph(rot, (2, 3)))
+    assert not isinstance(exc.value, DecomposeError)
+
+
+def test_decompose_21_beside_a_lone_vertex():
+    g = PlaneGraph(((2,), (1, 3), (2,), ()), (1, 2))
+    dec, _ = decompose_21(g)
+    assert verify_21(g, dec).ok
 
 
 def test_claim9_with_the_chord_arc_from_wi_to_wj():

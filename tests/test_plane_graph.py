@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import pytest
 
 from planedec.decomposition import Decomposition
@@ -40,6 +41,31 @@ def test_validate_swapped_rotation_fails_euler():
     bad = PlaneGraph(rot, (1, 2))
     rep = validate(bad)
     assert "euler" in rep.codes()
+
+
+def test_validate_names_bad_rotations_and_the_first_triangle():
+    g = PlaneGraph(((1, 2), (1, 3, 3), ()), (1, 2))
+    assert validate(g).failures == [
+        ("simple", "loop at 1"),
+        ("simple", "repeated neighbour in rotation of 2"),
+        ("symmetry", "3 in rotation of 2 but not conversely"),
+        ("symmetry", "3 in rotation of 2 but not conversely")]
+    for G in (nx.complete_graph(5), nx.wheel_graph(7), nx.icosahedral_graph(),
+              nx.triangular_lattice_graph(3, 4), nx.petersen_graph()):
+        g = instances.adjacency_graph(G)
+        tris = g.triangles()
+        rep = validate(g)
+        assert (("triangle-free", f"triangle {tris[0]}") in rep.failures
+                if tris else "triangle-free" not in rep.codes())
+
+
+def test_validate_counts_the_face_of_an_isolated_vertex():
+    # a path on three vertices beside a lone vertex: two components, each
+    # with its own face, and no Euler failure
+    g = PlaneGraph(((2,), (1, 3), (2,), ()), (1, 2))
+    assert validate(g).failures == [("connected", "2 components")]
+    g = PlaneGraph(((2,), (1,), (4,), (3,)), (1, 2))
+    assert validate(g).failures == [("connected", "2 components")]
 
 
 def test_boundary_walk_c4():
