@@ -36,6 +36,7 @@ from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
                           validate)
 from .special_decomposer import ClauseRequest, decompose_special, \
     decompose_p2_shifted
+from .tiny_search import tiny_search
 
 Goal = Literal["M0", "M1", "M2", "M3"]
 
@@ -1091,9 +1092,10 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
     """A 2-chord x-u-z: x, y, z, u bound a 4-face with y of degree two.
 
     Decompose g minus y on the path (w, x, u, z), flip the forced arc into u,
-    and point z at y; if the reduced graph holds a special pattern (so the
-    plain goal is unavailable there), fall back to a bounded exhaustive
-    search of the reduced graph under the exact final caps.
+    and point z at y; if the reduced graph has a chord or holds a special
+    pattern (so the plain goal is unavailable there), fall back to
+    ``tiny_search`` on the reduced graph under the exact final caps.  The
+    search is exhaustive but pruned, so on 3 x L ladders it stays linear.
     """
     g = cfg.graph
     w, x, y, z = cfg.path
@@ -1127,7 +1129,7 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
         else:
             out_cap[c] = 1 if p in final_boundary else 2
     forbid = {cm[w], cm[x], cm[z]}
-    dec = _tiny_search(sorted(gg.edges), out_cap, forbid_match=forbid)
+    dec = tiny_search(sorted(gg.edges), out_cap, forbid_match=forbid)
     if dec is None:
         raise CounterexampleError(cfg, "x-z two-chord search failed")
     return piece.lift(dec).adjust(add_arcs=[(z, y)])
@@ -1213,19 +1215,17 @@ def _claim7_top(cfg: Configuration, u: int, fan: list[int], trace: CaseTrace
 
 def _two_chord_patch_search(cfg: Configuration, trace: CaseTrace
                             ) -> Decomposition:
-    """Bounded exhaustive (1001,0000)-search for the degenerate single-piece
-    fans, where the fixed recipes cannot trade the end vertex's budget between
-    the pieces.  Scoped to desk scale by an edge cap."""
+    """Exhaustive (1001,0000)-search for the degenerate single-piece fans,
+    where the fixed recipes cannot trade the end vertex's budget between the
+    pieces."""
     g = cfg.graph
     w, x, y, z = cfg.path
     edges = sorted(set(g.edges) - {und(x, y)})
-    if len(edges) > 24:
-        raise CounterexampleError(cfg, "two-chord patch search over the cap")
     trace.add("Tiny", f"claim7 patch n={g.n}")
     boundary = g.boundary_vertices
     caps = {w: 1, x: 0, y: 0, z: 1}
     out_cap = {v: caps.get(v, 1 if v in boundary else 2) for v in g.vertices()}
-    dec = _tiny_search(edges, out_cap, forbid_match={w, x, y, z})
+    dec = tiny_search(edges, out_cap, forbid_match={w, x, y, z})
     if dec is None:
         raise CounterexampleError(cfg, "two-chord patch search found nothing")
     return dec
@@ -1356,54 +1356,10 @@ def _anchored_m0(gg: PlaneGraph, cx: int, cy: int, trace: CaseTrace
     edges = sorted(set(gg.edges) - {und(cx, cy)})
     out_cap = {v: 0 if v in (cx, cy) else (1 if v in boundary else 2)
                for v in gg.vertices()}
-    dec = _tiny_search(edges, out_cap, forbid_match={cx, cy})
+    dec = tiny_search(edges, out_cap, forbid_match={cx, cy})
     if dec is None:
         raise PlaneGraphError("tiny anchored search failed")
     return dec
-
-
-def _tiny_search(edges: list[Edge], out_cap: dict[int, int],
-                 forbid_match: set[int]) -> Decomposition | None:
-    arcs: list[Edge] = []
-    matched: set[int] = set()
-    outdeg: dict[int, int] = {}
-
-    def rec(i: int) -> bool:
-        if i == len(edges):
-            return Decomposition.of(arcs).find_cycle() is None
-        u, v = edges[i]
-        for kind in ("fwd", "bwd", "mat"):
-            if kind == "fwd" and outdeg.get(u, 0) >= out_cap[u]:
-                continue
-            if kind == "bwd" and outdeg.get(v, 0) >= out_cap[v]:
-                continue
-            if kind == "mat" and (u in matched or v in matched
-                                  or u in forbid_match or v in forbid_match):
-                continue
-            if kind == "fwd":
-                outdeg[u] = outdeg.get(u, 0) + 1
-                arcs.append((u, v))
-            elif kind == "bwd":
-                outdeg[v] = outdeg.get(v, 0) + 1
-                arcs.append((v, u))
-            else:
-                matched.update((u, v))
-            if rec(i + 1):
-                return True
-            if kind == "fwd":
-                outdeg[u] -= 1
-                arcs.pop()
-            elif kind == "bwd":
-                outdeg[v] -= 1
-                arcs.pop()
-            else:
-                matched.difference_update((u, v))
-        return False
-
-    if rec(0):
-        covered = {und(a, b) for a, b in arcs}
-        return Decomposition.of(arcs, [e for e in edges if e not in covered])
-    return None
 
 
 def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
@@ -1451,9 +1407,10 @@ def _anchored_0000(piece: Piece, g: PlaneGraph, w: int, x: int, y: int,
                    reserved: dict[int, int] | None = None) -> Decomposition:
     """(1001,0000)-style decomposition of a reduced piece on (w, x, y, y+),
     in parent ids.  When y dangles in the piece (its boundary run was cut
-    away), the structured route has no fourth path vertex; a bounded search
-    under the final caps takes over.  reserved maps parent ids to out-degree
-    budget already committed outside the piece (cross arcs to be added)."""
+    away), the structured route has no fourth path vertex; an exhaustive
+    search under the final caps takes over.  reserved maps parent ids to
+    out-degree budget already committed outside the piece (cross arcs to be
+    added)."""
     gg = piece.graph
     cm = piece.child_of
     try:
@@ -1462,8 +1419,6 @@ def _anchored_0000(piece: Piece, g: PlaneGraph, w: int, x: int, y: int,
         return piece.lift(_obs_0000(sub, trace))
     except PlaneGraphError:
         pass
-    if gg.m > 24:
-        raise CounterexampleError(_as_cfg(g), "anchored piece search over the cap")
     trace.add("Tiny", f"anchored-0000 n={gg.n}")
     reserved = reserved or {}
     final_boundary = g.boundary_vertices
@@ -1477,7 +1432,7 @@ def _anchored_0000(piece: Piece, g: PlaneGraph, w: int, x: int, y: int,
         else:
             cap = 1 if p in final_boundary else 2
         out_cap[c] = max(0, cap - reserved.get(p, 0))
-    dec = _tiny_search(sorted(set(gg.edges) - {und(cm[x], cm[y])}), out_cap,
+    dec = tiny_search(sorted(set(gg.edges) - {und(cm[x], cm[y])}), out_cap,
                        forbid_match={cm[w], cm[x], cm[y]})
     if dec is None:
         raise CounterexampleError(_as_cfg(g), "anchored piece search failed")

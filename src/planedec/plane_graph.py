@@ -96,15 +96,6 @@ class BlockDecomposition:
                 return b
         raise PlaneGraphError(f"edge {u}-{v} not in any block")
 
-    def block_cut_tree(self) -> dict[object, set[object]]:
-        """Adjacency between block indices and cut vertices."""
-        adj: dict[object, set[object]] = {}
-        for i, b in enumerate(self.blocks):
-            for c in b & self.cut_vertices:
-                adj.setdefault(("block", i), set()).add(("cut", c))
-                adj.setdefault(("cut", c), set()).add(("block", i))
-        return adj
-
 
 @dataclass
 class ValidationReport:
@@ -238,10 +229,6 @@ class PlaneGraph:
     @cached_property
     def boundary_vertices(self) -> frozenset[int]:
         return self.boundary_walk.vertex_set
-
-    @cached_property
-    def boundary_edges(self) -> frozenset[Edge]:
-        return self.boundary_walk.edge_set
 
     def boundary_is_cycle(self) -> bool:
         return self.boundary_walk.is_simple_cycle()
@@ -410,12 +397,6 @@ def validate(g: PlaneGraph) -> ValidationReport:
     return rep
 
 
-def require_valid(g: PlaneGraph) -> None:
-    rep = validate(g)
-    if not rep.ok:
-        raise PlaneGraphError(f"invalid plane graph: {rep.failures}")
-
-
 # ---------------------------------------------------------------------------
 # chords and 2-chords
 # ---------------------------------------------------------------------------
@@ -476,12 +457,6 @@ class Piece:
     @cached_property
     def child_of(self) -> dict[int, int]:
         return {p: c + 1 for c, p in enumerate(self.to_parent)}
-
-    def lift_arc(self, arc: Edge) -> Edge:
-        return (self.parent_of(arc[0]), self.parent_of(arc[1]))
-
-    def lift_edge(self, e: Edge) -> Edge:
-        return und(self.parent_of(e[0]), self.parent_of(e[1]))
 
     def lift(self, dec: Decomposition) -> Decomposition:
         """A decomposition of the piece, given in child ids, rewritten in the

@@ -10,13 +10,17 @@ replaced with cheaper ones, kept as their references: the face flood behind
 the dart classification, the DFS behind ``small_cycles``, the outside flood
 behind ``int_subgraph``, the window sets behind the path checks, the
 per-vertex arc scans behind ``verify_21`` and ``defective_coloring``, and
-the one piece per deleted vertex behind ``light_peel``.
+the one piece per deleted vertex behind ``light_peel``, and the plain
+backtracking behind ``tiny_search``.  ``bench_grid_subgraph`` draws grid
+subgraphs with the benchmark's own generator.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import random
+from pathlib import Path
 
 import networkx as nx
 
@@ -344,3 +348,67 @@ def reference_claim1_order(g: PlaneGraph) -> list[tuple[int, int, list[int]]]:
                 break
         else:
             return out
+
+
+def reference_tiny_search(edges: list[Edge], out_cap: dict[int, int],
+                          forbid_match: set[int]) -> Decomposition | None:
+    """The plain 3^m backtracking: each edge tries the forward arc, the
+    backward arc and a matching edge, and only a full leaf is checked for a
+    cycle."""
+    arcs: list[Edge] = []
+    matched: set[int] = set()
+    outdeg: dict[int, int] = {}
+
+    def rec(i: int) -> bool:
+        if i == len(edges):
+            return Decomposition.of(arcs).find_cycle() is None
+        u, v = edges[i]
+        for kind in ("fwd", "bwd", "mat"):
+            if kind == "fwd" and outdeg.get(u, 0) >= out_cap[u]:
+                continue
+            if kind == "bwd" and outdeg.get(v, 0) >= out_cap[v]:
+                continue
+            if kind == "mat" and (u in matched or v in matched
+                                  or u in forbid_match or v in forbid_match):
+                continue
+            if kind == "fwd":
+                outdeg[u] = outdeg.get(u, 0) + 1
+                arcs.append((u, v))
+            elif kind == "bwd":
+                outdeg[v] = outdeg.get(v, 0) + 1
+                arcs.append((v, u))
+            else:
+                matched.update((u, v))
+            if rec(i + 1):
+                return True
+            if kind == "fwd":
+                outdeg[u] -= 1
+                arcs.pop()
+            elif kind == "bwd":
+                outdeg[v] -= 1
+                arcs.pop()
+            else:
+                matched.difference_update((u, v))
+        return False
+
+    if rec(0):
+        covered = {und(a, b) for a, b in arcs}
+        return Decomposition.of(arcs, [e for e in edges if e not in covered])
+    return None
+
+
+@functools.cache
+def _bench_generators():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_grid_subgraph(seed: int, k: int, share: float) -> PlaneGraph:
+    """A spanning subgraph of the k x k grid with ``share`` of its non-tree
+    edges dropped, drawn by ``perfbench/generators.py`` from the seed
+    1000 seed + 10 k + int(100 share) (the ROADMAP's set of 180)."""
+    rng = random.Random(1000 * seed + 10 * k + int(100 * share))
+    return _bench_generators().grid_subgraph(k, share, rng)

@@ -106,6 +106,24 @@ def test_cli_decompose_theorem(tmp_path):
     assert proc2.returncode == 0 and proc2.stdout.strip() == b"pass"
 
 
+PATH_AND_LONE_VERTEX = "1: 2\n2: 1 3\n3: 2\n4:\nouter: 1 2\n"
+
+
+def test_cli_decompose_theorem_on_two_components():
+    """A 3-vertex path beside a lone vertex: decomposed like decompose_21
+    and ``planedec color`` do; a configuration goal still needs a connected
+    graph."""
+    proc = run_cli(["decompose", "--goal", "theorem"],
+                   stdin=PATH_AND_LONE_VERTEX.encode())
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert sorted(map(tuple, doc["arcs"])) == [(2, 1), (3, 2)]
+    proc = run_cli(["decompose", "--goal", "M0", "--path", "1,2,3,4"],
+                   stdin=PATH_AND_LONE_VERTEX.encode())
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["failures"] == [["connected", "2 components"]]
+
+
 def test_cli_verify_cycle_fails(tmp_path):
     doc = {"graph": "00",
            "arcs": [[1, 2], [2, 3], [3, 4], [4, 1]], "matching": []}

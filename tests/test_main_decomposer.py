@@ -1,3 +1,5 @@
+import contextlib
+import signal
 import sys
 
 import networkx as nx
@@ -7,9 +9,10 @@ from planedec.config_algebra import Configuration
 from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
                                     check_coloring, defective_coloring, verify,
                                     verify_21)
-from planedec.main_decomposer import (CaseTrace, DecomposeError,
-                                      PreconditionError, _balanced_chord,
-                                      _bounds_face, _claim1_peel,
+from planedec.main_decomposer import (CaseTrace, CounterexampleError,
+                                      DecomposeError, PreconditionError,
+                                      _balanced_chord, _bounds_face,
+                                      _claim1_peel,
                                       decompose_21,
                                       decompose_config, goal_spec,
                                       has_separating_small_cycle,
@@ -187,6 +190,75 @@ def test_ladder_2x1000_decomposes_without_deep_recursion():
     assert verify_21(g, dec).ok
     assert check_coloring(g, dec, defective_coloring(g, dec)).ok
     assert sum(lab == "Claim4" for lab, _ in trace.entries) == 998
+
+
+# (seed, k, share) of bench_grid_subgraph: plain backtracking over the edges
+# left by _claim_xuz ran past 5 s of CPU on the first 13, and the last 6 hit
+# a 24-edge cap on the search in _anchored_0000 or _two_chord_patch_search
+FORMER_SEARCH_FAILURES = [
+    (1, 10, .1), (2, 8, .1), (4, 9, .4), (5, 7, .25), (5, 9, .25),
+    (6, 8, .25), (6, 10, .1), (6, 10, .25), (7, 10, .25), (8, 9, .1),
+    (8, 10, .25), (9, 8, .25), (10, 9, .1),
+    (3, 9, .25), (5, 7, .4), (6, 8, .4), (6, 10, .4), (8, 6, .4), (10, 9, .25),
+]
+
+
+@pytest.mark.parametrize("seed,k,share", FORMER_SEARCH_FAILURES)
+def test_grid_subgraphs_that_needed_a_long_search(seed, k, share):
+    g = instances.bench_grid_subgraph(seed, k, share)
+    dec, trace = decompose_21(g)
+    assert "Tiny" in trace.labels()
+    assert verify_21(g, dec).ok
+
+
+@pytest.mark.xfail(strict=True, raises=CounterexampleError,
+                   reason="Claim 7 wrong assembly (ROADMAP item 1)")
+def test_grid_subgraph_with_the_claim7_wrong_assembly():
+    g = instances.bench_grid_subgraph(10, 10, .25)
+    dec, _ = decompose_21(g)
+    assert verify_21(g, dec).ok
+
+
+class _OverBudget(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _cpu_budget(seconds):
+    def over(signum, frame):
+        raise _OverBudget(f"over {seconds} s of CPU time")
+
+    old = signal.signal(signal.SIGPROF, over)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, old)
+
+
+@pytest.mark.parametrize("L", [15, 40, 80])
+def test_3_by_L_ladder_searches_once(L):
+    """Each column of a 3 x L ladder used to triple the search in
+    _claim_xuz; the pruned search takes milliseconds at L = 80, so a budget
+    of seconds only trips on an exponential search."""
+    g = instances.grid(3, L)
+    with _cpu_budget(10):
+        dec, trace = decompose_21(g)
+    assert verify_21(g, dec).ok
+    assert sum(lab == "Tiny" for lab, _ in trace.entries) == 1
+
+
+def test_grid_subgraph_search_backjumps():
+    """The 20 x 20 grid subgraph (3, 20, .4) reaches a search over 102 edges
+    whose refusals at edge 23 go back to a choice at edge 4.  Stepping back
+    one edge at a time took 10-15 s of CPU there on a 2-vCPU VM;
+    backjumping takes milliseconds."""
+    g = instances.bench_grid_subgraph(3, 20, .4)
+    with _cpu_budget(5):
+        dec, trace = decompose_21(g)
+    assert "Tiny" in trace.labels()
+    assert verify_21(g, dec).ok
 
 
 def _peel_order(g):
