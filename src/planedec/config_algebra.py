@@ -234,7 +234,7 @@ class Derivation:
         self.left.replay()
         self.right.replay()
         glue = combine(self.op, self.left.config, self.right.config)  # type: ignore[arg-type]
-        if config_key(glue.config.graph, glue.config.path) != self.config.key:
+        if glue.config.key != self.config.key:
             raise PlaneGraphError("derivation does not replay to its configuration")
         return glue.config
 
@@ -276,10 +276,6 @@ def node_typing_ok(op: Op, left: Derivation, right: Derivation) -> FamilyTag | N
 # recognition
 # ---------------------------------------------------------------------------
 
-# verdicts are label-free and safe to share across graphs
-_VERDICTS: dict[bytes, FamilyTag | None] = {}
-
-
 def _inner_face_from(g: PlaneGraph, a: int, b: int) -> tuple[int, ...]:
     """Vertices of the face on the non-outer side of boundary edge (a, b)."""
     trace = g.trace_face(b, a)
@@ -287,18 +283,20 @@ def _inner_face_from(g: PlaneGraph, a: int, b: int) -> tuple[int, ...]:
 
 
 def recognize(c: Configuration) -> Derivation | None:
-    """Membership in R u Q u P with a derivation, or None."""
+    """Membership in R u Q u P with a derivation, or None.
+
+    The probes run in the order leaf, ohat (R2 before P3), P2, Q, and at
+    most one of them can match, so the order picks nothing.  A leaf is a
+    bare 4- or 5-cycle, too small for the composite probes (n >= 6).  The
+    ohat and P2 probes need y of degree 2 with neighbours {x, z} and then
+    differ in the inner face behind y (a 4-face for ohat, a 5-face for P2);
+    Q needs a chord at y, which such a y does not have.  The same argument
+    applied to the reduced configuration, whose third path vertex is where
+    the chord must sit, is why the ohat and P2 probes test it for Q with
+    _oplus_split alone rather than a nested recognize.
+    """
     c = c.oriented()
-    verdict = _VERDICTS.get(c.key, "unknown")
-    if verdict is None:
-        return None
-    d = _recognize(c)
-    _VERDICTS[c.key] = d.tag if d else None
-    return d
-
-
-def _recognize(c: Configuration) -> Derivation | None:
-    for probe in (_match_leaf, _match_r2, _match_p2, _match_q, _match_p3):
+    for probe in (_match_leaf, _match_ohat, _match_p2, _match_q):
         d = probe(c)
         if d is not None:
             return d
@@ -402,7 +400,20 @@ def _match_q(c: Configuration) -> Derivation | None:
                       left_map=left_map, right_map=right_map)
 
 
-def _match_r2(c: Configuration) -> Derivation | None:
+def _lift(piece: Piece, tag: FamilyTag, c: Configuration, op: Op, split,
+          u: int, v: int | None = None) -> Derivation:
+    """The node op(A, B) over c from an _oplus_split of the reduced piece,
+    with the operands' maps lifted into c's ids."""
+    ld, rd, lm, rm = split
+    return Derivation(tag=tag, config=c, op=op, left=ld, right=rd,
+                      left_map={q: piece.parent_of(p) for q, p in lm.items()},
+                      right_map={q: piece.parent_of(p) for q, p in rm.items()},
+                      u=u, v=v)
+
+
+def _match_ohat(c: Configuration) -> Derivation | None:
+    """R2 = R ohat (R u Q) and P3 = P ohat (R u Q): y of degree 2 on an inner
+    4-face (x, y, z, u); dropping y leaves A oplus B with path (w, x, u, z)."""
     g = c.graph
     if g.n < 7:
         return None
@@ -415,13 +426,15 @@ def _match_r2(c: Configuration) -> Derivation | None:
     if reduced is None:
         return None
     sub_cfg, piece = reduced
-    d = recognize(sub_cfg)
-    if d is None or not d.in_Q():
+    split = _oplus_split(sub_cfg, want_left="R")
+    if split is not None:
+        return _lift(piece, "R2", c, "ohat", split, u=y)
+    if g.n < 8:
         return None
-    left_map = {q: piece.parent_of(p) for q, p in d.left_map.items()}
-    right_map = {q: piece.parent_of(p) for q, p in d.right_map.items()}
-    return Derivation(tag="R2", config=c, op="ohat", left=d.left, right=d.right,
-                      left_map=left_map, right_map=right_map, u=y)
+    split = _oplus_split(sub_cfg, want_left="P")
+    if split is not None:
+        return _lift(piece, "P3", c, "ohat", split, u=y)
+    return None
 
 
 def _match_p2(c: Configuration) -> Derivation | None:
@@ -443,36 +456,10 @@ def _match_p2(c: Configuration) -> Derivation | None:
     if reduced is None:
         return None
     sub_cfg, piece = reduced
-    d = recognize(sub_cfg)
-    if d is None or not d.in_Q():
-        return None
-    left_map = {q: piece.parent_of(p) for q, p in d.left_map.items()}
-    right_map = {q: piece.parent_of(p) for q, p in d.right_map.items()}
-    return Derivation(tag="P2", config=c, op="otilde", left=d.left, right=d.right,
-                      left_map=left_map, right_map=right_map, u=x, v=y)
-
-
-def _match_p3(c: Configuration) -> Derivation | None:
-    g = c.graph
-    if g.n < 8:
-        return None
-    w, x, y, z = c.path
-    face = _deg2_inner_face(c, y, 4)
-    if face is None or not {x, y, z} <= set(face):
-        return None
-    (u,) = set(face) - {x, y, z}
-    reduced = _reduced_config(c, drop=(y,), new_path=(w, x, u, z))
-    if reduced is None:
-        return None
-    sub_cfg, piece = reduced
-    split = _oplus_split(sub_cfg, want_left="P")
+    split = _oplus_split(sub_cfg, want_left="R")
     if split is None:
         return None
-    ld, rd, lm, rm = split
-    left_map = {q: piece.parent_of(p) for q, p in lm.items()}
-    right_map = {q: piece.parent_of(p) for q, p in rm.items()}
-    return Derivation(tag="P3", config=c, op="ohat", left=ld, right=rd,
-                      left_map=left_map, right_map=right_map, u=y)
+    return _lift(piece, "P2", c, "otilde", split, u=x, v=y)
 
 
 # ---------------------------------------------------------------------------

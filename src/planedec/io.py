@@ -2,14 +2,17 @@
 
 Two graph formats are supported: the binary planar_code stream used by plane
 graph generators (header ">>planar_code<<", then per graph a vertex count
-byte followed by zero-terminated rotation lists), and a line-oriented text
-format ("i: j k l" rotation lines plus an "outer: u v" line).  Decompositions
-travel as strict JSON documents.
+byte followed by zero-terminated rotation lists; above 255 vertices a 0 byte
+and the same entries as 16-bit words, as plantri defines it), and a
+line-oriented text format ("i: j k l" rotation lines plus an "outer: u v"
+line).  Decompositions travel as strict JSON documents.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -20,6 +23,8 @@ from .oracle import canonical_form
 from .plane_graph import PlaneGraph
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
+PLANAR_CODE_LE_HEADER = b">>planar_code le<<"
+PLANAR_CODE_BE_HEADER = b">>planar_code be<<"
 
 
 class FormatError(ValueError):
@@ -30,35 +35,77 @@ class FormatError(ValueError):
 # planar_code
 # ---------------------------------------------------------------------------
 
+def _planar_code_order(data: bytes) -> tuple[int, str]:
+    """Length of the header and the byte order it names for 16-bit words
+    (the machine's own when it names none, as plantri writes it)."""
+    for header, order in ((PLANAR_CODE_HEADER, sys.byteorder),
+                          (PLANAR_CODE_LE_HEADER, "little"),
+                          (PLANAR_CODE_BE_HEADER, "big")):
+        if data.startswith(header):
+            return len(header), order
+    raise FormatError("missing >>planar_code<< header")
+
+
+def _parse_wide_record(data: bytes, pos: int, order: str
+                       ) -> tuple[list[tuple[int, ...]], int]:
+    """The rotation of one record in the large form, whose leading 0 byte
+    sits before pos: n and every entry as a 16-bit word.  Returns the
+    rotation and the position after the record."""
+    def word() -> int:
+        nonlocal pos
+        if pos + 2 > len(data):
+            raise FormatError(f"truncated record at vertex {len(rotation) + 1}")
+        pos += 2
+        return int.from_bytes(data[pos - 2:pos], order)
+
+    rotation: list[tuple[int, ...]] = []
+    n = word()
+    if n == 0:
+        raise FormatError("graph with zero vertices")
+    row: list[int] = []
+    while len(rotation) < n:
+        b = word()
+        if b == 0:
+            rotation.append(tuple(row))
+            row = []
+        elif b > n:
+            raise FormatError(f"neighbour index {b} out of range 1..{n}")
+        else:
+            row.append(b)
+    return rotation, pos
+
+
 def parse_planar_code(data: bytes, outer: tuple[int, int] | None = None
                       ) -> Iterator[PlaneGraph]:
-    """Decode a planar_code byte stream (single-byte vertex form, n <= 255).
+    """Decode a planar_code byte stream.
 
-    The outer face defaults to the face traced from (1, first neighbour of 1)
-    unless an explicit directed edge is given.
+    A record is read in the single-byte form (n <= 255) unless it starts
+    with a 0 byte, which introduces the large form: n and every entry as
+    16-bit words in the byte order the header names.  The outer face
+    defaults to the face traced from (1, first neighbour of 1) unless an
+    explicit directed edge is given.
     """
-    if not data.startswith(PLANAR_CODE_HEADER):
-        raise FormatError("missing >>planar_code<< header")
-    pos = len(PLANAR_CODE_HEADER)
+    pos, order = _planar_code_order(data)
     while pos < len(data):
         n = data[pos]
         pos += 1
         if n == 0:
-            raise FormatError("graph with zero vertices")
-        rotation: list[tuple[int, ...]] = []
-        for v in range(1, n + 1):
-            row = []
-            while True:
-                if pos >= len(data):
-                    raise FormatError(f"truncated record at vertex {v}")
-                b = data[pos]
-                pos += 1
-                if b == 0:
-                    break
-                if b > n:
-                    raise FormatError(f"neighbour index {b} out of range 1..{n}")
-                row.append(b)
-            rotation.append(tuple(row))
+            rotation, pos = _parse_wide_record(data, pos, order)
+        else:
+            rotation = []
+            for v in range(1, n + 1):
+                row = []
+                while True:
+                    if pos >= len(data):
+                        raise FormatError(f"truncated record at vertex {v}")
+                    b = data[pos]
+                    pos += 1
+                    if b == 0:
+                        break
+                    if b > n:
+                        raise FormatError(f"neighbour index {b} out of range 1..{n}")
+                    row.append(b)
+                rotation.append(tuple(row))
         if outer is None:
             oe = (1, rotation[0][0]) if rotation[0] else (1, 1)
         else:
@@ -67,14 +114,22 @@ def parse_planar_code(data: bytes, outer: tuple[int, int] | None = None
 
 
 def emit_planar_code(graphs: Sequence[PlaneGraph]) -> bytes:
-    out = bytearray(PLANAR_CODE_HEADER)
+    """planar_code for the graphs: the single-byte form for n <= 255 and the
+    large form (little-endian, named in the header) above, up to n = 65535."""
+    wide = any(g.n > 255 for g in graphs)
+    out = bytearray(PLANAR_CODE_LE_HEADER if wide else PLANAR_CODE_HEADER)
     for g in graphs:
-        if g.n > 255:
-            raise FormatError("planar_code single-byte form caps n at 255")
-        out.append(g.n)
+        if g.n > 0xFFFF:
+            raise FormatError("planar_code caps n at 65535")
+        entries = [g.n]
         for v in g.vertices():
-            out.extend(g.neighbors(v))
+            entries.extend(g.neighbors(v))
+            entries.append(0)
+        if g.n <= 255:
+            out.extend(entries)
+        else:
             out.append(0)
+            out += struct.pack(f"<{len(entries)}H", *entries)
     return bytes(out)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import struct
 import warnings
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -51,10 +52,17 @@ Rotation = tuple[tuple[int, ...], ...]
 def _encode(rot: Rotation, u0: int, v0: int) -> bytes:
     """The one BFS encoder behind bfs_encode, canonical_form, config_key and
     plane_graphs_of.  rot[w - 1] is the cyclic rotation at w, read from any
-    starting neighbour; the code starts along the directed edge (u0, v0)."""
+    starting neighbour; the code starts along the directed edge (u0, v0).
+
+    The code is n, then each vertex's rotation as discovery labels, the rows
+    joined by a separator.  Below n = 124 every entry is one byte and the
+    separator is 124 (b"|"), which no label reaches; from n = 124 on every
+    entry is a 4-byte big-endian word and the separator is 0, which no label
+    takes.  So the code is injective at every n."""
     n = len(rot)
+    narrow = n < 124
     label = [0] * (n + 1)
-    label[0] = 124  # b"|": vertex 0 stands for the row separator in flat
+    label[0] = 124 if narrow else 0  # vertex 0 stands for the separator in flat
     label[u0] = 1
     arrival = [0] * (n + 1)
     arrival[u0] = v0
@@ -72,7 +80,9 @@ def _encode(rot: Rotation, u0: int, v0: int) -> bytes:
                 arrival[q] = w
                 order.append(q)
     flat.pop()
-    return bytes([n]) + bytes(map(label.__getitem__, flat))
+    if narrow:
+        return bytes([n]) + bytes(map(label.__getitem__, flat))
+    return struct.pack(f">{len(flat) + 1}I", n, *map(label.__getitem__, flat))
 
 
 def _mirror(rot: Rotation) -> Rotation:
@@ -90,16 +100,19 @@ def _face_key(rot: Rotation, mirror: Rotation, face: Sequence[Edge],
 
     Starts whose tail has fewer than ``top`` neighbours are skipped.  That
     loses nothing when top is the largest degree on the face of a simple
-    graph with n <= 123: a code from a tail of degree d reads n, 2, ..., d+1
-    and then 124 (the row separator), where a code from a tail of larger
-    degree reads d+2 < 124, so the latter is smaller.
+    graph with n <= 123, in the one-byte code: a code from a tail of degree d
+    reads n, 2, ..., d+1 and then 124 (the row separator), where a code from
+    a tail of larger degree reads d+2 < 124, so the latter is smaller.  In
+    the word code (n >= 124) the separator 0 is the least entry, the order
+    flips, and top must be 0.
     """
     return min(min(_encode(rot, u, v) for u, v in face if len(rot[u - 1]) >= top),
                min(_encode(mirror, v, u) for u, v in face if len(rot[v - 1]) >= top))
 
 
 def _face_top(rot: Rotation, face: Sequence[Edge]) -> int:
-    """The largest ``top`` that _face_key may use on this face."""
+    """The largest ``top`` that _face_key may use on this face: its largest
+    degree for the one-byte code (n <= 123), 0 for the word code."""
     return max(len(rot[u - 1]) for u, _ in face) if len(rot) <= 123 else 0
 
 

@@ -10,8 +10,11 @@ import planedec
 from planedec.decomposition import ConstraintSpec, Decomposition, EdgeInMatching
 from planedec.io import (DecompositionDocument, FormatError, emit_planar_code,
                          emit_rotation_text, parse_planar_code,
-                         parse_rotation_text, PLANAR_CODE_HEADER)
+                         parse_rotation_text, PLANAR_CODE_BE_HEADER,
+                         PLANAR_CODE_HEADER, PLANAR_CODE_LE_HEADER)
 from planedec.plane_graph import cycle_graph
+
+import instances
 
 C4_TEXT = "1: 2 4\n2: 1 3\n3: 2 4\n4: 3 1\nouter: 1 2\n"
 
@@ -46,6 +49,28 @@ def test_planar_code_round_trip():
     g = cycle_graph(5)
     (back,) = parse_planar_code(emit_planar_code([g]))
     assert back.rotation == g.rotation
+
+
+def test_planar_code_large_form_round_trip():
+    """The 100 x 100 grid (n = 10^4) travels in the large form; a small
+    graph beside it keeps the single-byte form."""
+    g = instances.grid(100, 100)
+    data = emit_planar_code([cycle_graph(5), g])
+    assert data.startswith(PLANAR_CODE_LE_HEADER)
+    small, back = parse_planar_code(data)
+    assert small.rotation == cycle_graph(5).rotation
+    assert back.rotation == g.rotation
+
+
+@pytest.mark.parametrize("header,order", [(PLANAR_CODE_LE_HEADER, "little"),
+                                          (PLANAR_CODE_BE_HEADER, "big")])
+def test_planar_code_large_form_byte_order(header, order):
+    entries = [4, 2, 4, 0, 1, 3, 0, 2, 4, 0, 3, 1, 0]
+    data = header + b"\0" + b"".join(e.to_bytes(2, order) for e in entries)
+    (g,) = parse_planar_code(data)
+    assert g.rotation == parse_rotation_text(C4_TEXT).rotation
+    with pytest.raises(FormatError):
+        list(parse_planar_code(data[:-1]))
 
 
 def test_rotation_text_c4():
@@ -103,6 +128,18 @@ def test_cli_decompose_theorem(tmp_path):
     p = tmp_path / "doc.json"
     p.write_bytes(proc.stdout)
     proc2 = run_cli(["verify", str(p)], stdin=C4_TEXT.encode())
+    assert proc2.returncode == 0 and proc2.stdout.strip() == b"pass"
+
+
+def test_cli_round_trip_past_n_255(tmp_path):
+    """The 20 x 20 grid (n = 400): the document's graph hash takes the
+    word form of the canonical code, and the document verifies."""
+    text = emit_rotation_text(instances.grid(20, 20)).encode()
+    proc = run_cli(["decompose", "--goal", "theorem"], stdin=text)
+    assert proc.returncode == 0, proc.stderr
+    p = tmp_path / "doc.json"
+    p.write_bytes(proc.stdout)
+    proc2 = run_cli(["verify", str(p)], stdin=text)
     assert proc2.returncode == 0 and proc2.stdout.strip() == b"pass"
 
 

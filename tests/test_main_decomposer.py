@@ -261,6 +261,25 @@ def test_grid_subgraph_search_backjumps():
     assert verify_21(g, dec).ok
 
 
+PAST_ONE_BYTE = [
+    ("grid", 16, 16), ("grid", 20, 20), ("grid", 3, 200),
+    *(("subgraph", seed, 20) for seed in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("kind,a,b", PAST_ONE_BYTE)
+def test_decompose_21_past_n_255(kind, a, b):
+    """Full grids, the 3 x 200 ladder and the k = 20, share 0.1 grid
+    subgraphs have n >= 256, past any one-byte vertex label; each takes well
+    under a second of CPU, so the budget only trips on a blow-up."""
+    g = (instances.grid(a, b) if kind == "grid"
+         else instances.bench_grid_subgraph(a, b, .1))
+    assert g.n >= 256
+    with _cpu_budget(10):
+        dec, _ = decompose_21(g)
+    assert verify_21(g, dec).ok
+
+
 def _peel_order(g):
     """(label, id in g, sorted out-neighbours) per vertex _claim1_peel
     deletes, the label read from its trace entry."""

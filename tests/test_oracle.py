@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import struct
 import warnings
 
 import networkx as nx
@@ -15,6 +16,8 @@ from planedec.oracle import (abstract_graphs_augment, brute_force,
                              graph_certificate, plane_graphs_of,
                              rotation_systems)
 from planedec.plane_graph import PlaneGraph, PlaneGraphError, cycle_graph
+
+import instances
 
 
 def test_brute_force_c4():
@@ -63,6 +66,66 @@ def test_canonical_form_examples():
     p4 = PlaneGraph({1: (2,), 2: (1, 3), 3: (2, 4), 4: (3,)}, (1, 2))
     assert canonical_form(c4) != canonical_form(p4)
     assert canonical_form(c4) == canonical_form(c4.reflect())
+
+
+def _relabelled(g, perm):
+    """g with vertex v renamed perm[v - 1]."""
+    rot = [()] * g.n
+    for v in g.vertices():
+        rot[perm[v - 1] - 1] = tuple(perm[u - 1] for u in g.neighbors(v))
+    return PlaneGraph(rot, tuple(perm[u - 1] for u in g.outer))
+
+
+def _without_edge(g, a, b):
+    return PlaneGraph([tuple(u for u in g.neighbors(v) if {u, v} != {a, b})
+                       for v in g.vertices()], g.outer)
+
+
+def test_canonical_form_beyond_one_byte():
+    """At n = 300 the form uses 4-byte words: relabelling and reflection
+    keep it, and two 15 x 20 grids less one edge differ when the edge is a
+    corner's (leaving a degree-1 vertex) or a middle one."""
+    g = instances.grid(15, 20)
+    assert g.n == 300
+    key = canonical_form(g)
+    perm = list(range(1, 301))
+    random.Random(300).shuffle(perm)
+    assert canonical_form(_relabelled(g, perm)) == key
+    assert canonical_form(g.reflect()) == key
+    corner = _without_edge(g, 20, 40)
+    middle = _without_edge(g, 150, 151)
+    assert (corner.n, corner.m) == (middle.n, middle.m) == (300, g.m - 1)
+    assert canonical_form(corner) != canonical_form(middle)
+    assert canonical_form(middle) == canonical_form(_relabelled(middle, perm))
+
+
+def _rows_of_code(code):
+    """n and the rows of a BFS code: one-byte entries split at 124 when the
+    first byte (n) is nonzero, else 4-byte words split at 0."""
+    if code[0]:
+        entries, sep = list(code), 124
+    else:
+        entries, sep = list(struct.unpack(f">{len(code) // 4}I", code)), 0
+    rows, row = [], []
+    for e in entries[1:]:
+        if e == sep:
+            rows.append(row)
+            row = []
+        else:
+            row.append(e)
+    return entries[0], rows + [row]
+
+
+@pytest.mark.parametrize("r,c", [(3, 3), (4, 31), (15, 20)])
+def test_canonical_form_reads_back(r, c):
+    """The code splits into one row per vertex, each a neighbour list of a
+    graph with g's degrees and symmetric adjacency: no label is mistaken
+    for the separator, at n = 9, 124 (the first word-code size) and 300."""
+    g = instances.grid(r, c)
+    n, rows = _rows_of_code(canonical_form(g))
+    assert n == g.n == len(rows)
+    assert sorted(map(len, rows)) == sorted(g.degree(v) for v in g.vertices())
+    assert all(i in rows[j - 1] for i, row in enumerate(rows, 1) for j in row)
 
 
 def test_canonical_form_injective_small():
