@@ -458,6 +458,14 @@ class Piece:
     def child_of(self) -> dict[int, int]:
         return {p: c + 1 for c, p in enumerate(self.to_parent)}
 
+    def succ(self, v: int) -> int:
+        """v's successor on the piece's boundary cycle, in parent ids."""
+        return self.to_parent[self.graph.boundary_succ(self.child_of[v]) - 1]
+
+    def pred(self, v: int) -> int:
+        """v's predecessor on the piece's boundary cycle, in parent ids."""
+        return self.to_parent[self.graph.boundary_pred(self.child_of[v]) - 1]
+
     def lift(self, dec: Decomposition) -> Decomposition:
         """A decomposition of the piece, given in child ids, rewritten in the
         parent's ids (child c becomes ``parent_of(c)``)."""

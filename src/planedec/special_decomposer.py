@@ -5,8 +5,8 @@ module produces them by structural recursion over a derivation tree.  Leaf
 cycles use hand-written tables; gluing nodes apply the composition surgeries
 of the seven operation formulas, choosing operand clauses per the induction.
 All arc surgery is expressed in the composed configuration's vertex ids via
-the maps stored on the derivation nodes, and the caller is expected to
-re-verify outputs (the test-suite always does).
+the maps stored on the derivation nodes.  Both entry points verify what they
+return against the requested clause and raise if it fails.
 """
 
 from __future__ import annotations
@@ -232,17 +232,15 @@ def _left_1011_clause(left: Derivation) -> ClauseRequest:
     return ClauseRequest("1011,0000")
 
 
-def decompose_special(d: Derivation, req: ClauseRequest,
-                      check: bool = True) -> Decomposition:
+def decompose_special(d: Derivation, req: ClauseRequest) -> Decomposition:
     """A decomposition of d's configuration verifying the requested clause."""
     dec = _decompose_special(d, req)
-    if check:
-        cfg = d.config.oriented()
-        rep = verify(cfg.graph, cfg.path, req.spec_for(cfg), dec)
-        if not rep:
-            raise PlaneGraphError(
-                f"clause {req} construction failed verification on "
-                f"{d.tag}(n={cfg.graph.n}): {rep.clause}: {rep.detail}")
+    cfg = d.config.oriented()
+    rep = verify(cfg.graph, cfg.path, req.spec_for(cfg), dec)
+    if not rep:
+        raise PlaneGraphError(
+            f"clause {req} construction failed verification on "
+            f"{d.tag}(n={cfg.graph.n}): {rep.clause}: {rep.detail}")
     return dec
 
 
@@ -422,7 +420,7 @@ def _p3_1101(d: Derivation) -> Decomposition:
 # the shifted P2 construction
 # ---------------------------------------------------------------------------
 
-def decompose_p2_shifted(d: Derivation, check: bool = True) -> Decomposition:
+def decompose_p2_shifted(d: Derivation) -> Decomposition:
     """For (g, wxyz) in P2: a (1001,0000)-decomposition of (g, w- w x y).
 
     The graph minus {x, y} is the underlying oplus member of the derivation;
@@ -438,11 +436,9 @@ def decompose_p2_shifted(d: Derivation, check: bool = True) -> Decomposition:
     qdec = _q_subnode_dec(d, ClauseRequest("1001,0011", "(z,y)"))
     dec = qdec.adjust(drop_arcs=[(z, u5)],
                       add_arcs=[(u5, z), (z, y), (y, x), (u5, w)])
-    if check:
-        wm = g.boundary_pred(w)
-        shifted = (wm, w, x, y)
-        rep = verify(g, shifted, ConstraintSpec.parse("1001,0000"), dec)
-        if not rep:
-            raise PlaneGraphError(
-                f"shifted P2 construction failed: {rep.clause}: {rep.detail}")
+    rep = verify(g, (g.boundary_pred(w), w, x, y),
+                 ConstraintSpec.parse("1001,0000"), dec)
+    if not rep:
+        raise PlaneGraphError(
+            f"shifted P2 construction failed: {rep.clause}: {rep.detail}")
     return dec

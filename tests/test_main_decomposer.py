@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import signal
 import sys
 
@@ -12,14 +13,16 @@ from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
 from planedec.main_decomposer import (CaseTrace, CounterexampleError,
                                       DecomposeError, PreconditionError,
                                       _balanced_chord, _bounds_face,
-                                      _claim1_peel,
+                                      _claim1_peel, _quad_ending,
                                       decompose_21,
                                       decompose_config, goal_spec,
                                       has_separating_small_cycle,
-                                      resolve_two_chords, small_cycles)
+                                      resolve_two_chords, small_cycles,
+                                      walk_quad)
 from planedec.oracle import enumerate_configurations, enumerate_graphs
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
-                                  cycle_graph, und)
+                                  cycle_graph, int_subgraph, und)
+from planedec.sweeps import applicable_goals
 
 import instances
 
@@ -392,6 +395,26 @@ def test_balanced_chord_is_the_middle_rung(L):
     assert _balanced_chord(g, rungs[::-1]) == (L // 2 + 1, L + L // 2 + 1)
 
 
+def test_piece_boundary_steps_speak_parent_ids():
+    """On Int(C) for the 8-cycle around the top-left 3 x 3 block of the
+    4 x 4 grid (child ids 1..9, parent ids 1..11), Piece.succ/pred,
+    walk_quad and _quad_ending take and give parent ids."""
+    cyc = (1, 2, 3, 7, 11, 10, 9, 5)
+    piece = int_subgraph(instances.grid(4, 4), cyc)
+    assert piece.to_parent == (1, 2, 3, 5, 6, 7, 9, 10, 11)
+    for i, v in enumerate(cyc):
+        nbrs = {cyc[i - 1], cyc[(i + 1) % len(cyc)]}
+        assert {piece.succ(v), piece.pred(v)} == nbrs
+        assert piece.pred(piece.succ(v)) == v
+    with pytest.raises(KeyError):
+        piece.succ(4)  # not in the piece
+    with pytest.raises(PlaneGraphError):
+        piece.succ(6)  # inside C, off the boundary
+    assert walk_quad(piece, 3, 7) == (2, 3, 7, 11)
+    assert walk_quad(piece, 7, 3) == (11, 7, 3, 2)
+    assert _quad_ending(piece, 9, 5, 1) == (10, 9, 5, 1)
+
+
 def test_decompose_21_c4():
     dec, _ = decompose_21(cycle_graph(4))
     assert verify_21(cycle_graph(4), dec).ok
@@ -438,3 +461,71 @@ def test_hand_built_branch_instances(maker, label):
     dec, trace = decompose_config(cfg, "M2")
     assert label in trace.labels()
     assert verify(g, path, goal_spec("M2", cfg), dec).ok
+
+
+def _fold_run(h, key, run) -> bool:
+    """Fold one run into a running SHA-256: its case trace, arcs and
+    matching, or the type and message of what it raised.  True on success."""
+    try:
+        dec, trace = run()
+    except Exception as exc:  # noqa: BLE001 - a failure is part of the output
+        h.update(repr((key, type(exc).__name__, str(exc))).encode())
+        return False
+    h.update(repr((key, trace.entries, sorted(dec.arcs),
+                   sorted(dec.matching))).encode())
+    return True
+
+
+# recorded before the claim helpers moved to parent ids; pins every top-level
+# M0-M3 output at n <= 8, which criterion 6 (decompose_21 only) does not
+CONFIG_OUTPUTS_DIGEST = \
+    "1f2715a2e519a5b6e276fd01193410eb48446ad389e18f84b97d474e663680f5"
+
+
+def test_configuration_outputs_frozen():
+    """Every applicable goal on every configuration with n <= 8 gives the
+    same case trace and the same decomposition."""
+    h = hashlib.sha256()
+    runs = ok = 0
+    for g in enumerate_graphs(8):
+        for quad in enumerate_configurations(g):
+            for goal in applicable_goals(g, quad):
+                cfg = Configuration(g, quad)
+                runs += 1
+                ok += _fold_run(h, (quad, goal),
+                                lambda: decompose_config(cfg, goal))
+    assert (runs, ok) == (7418, 7418)
+    assert h.hexdigest() == CONFIG_OUTPUTS_DIGEST
+
+
+def _large_instances():
+    for k in (8, 12, 16):
+        yield instances.grid(k, k)
+    yield instances.grid(2, 130)
+    yield instances.grid(3, 15)
+    yield instances.subdivided_ladder(40)
+    for seed in range(1, 11):
+        for k in range(5, 11):
+            for share in (.1, .25, .4):
+                yield instances.bench_grid_subgraph(seed, k, share)
+
+
+# recorded with the same code as CONFIG_OUTPUTS_DIGEST; the one failure is
+# the wrong assembly on bench_grid_subgraph(10, 10, .25), folded as its
+# error type and message
+LARGE_OUTPUTS_DIGEST = \
+    "c8601f76c3ea7d74caaeb9648d7de32dd3d5dc8472c54591515697e5a8654ba1"
+
+
+def test_large_outputs_frozen():
+    """decompose_21 on grids, ladders, a subdivided ladder and the 180 grid
+    subgraphs gives the same traces and decompositions, and fails the same
+    way where it fails.  These reach Claims 1, 2, 4, 5, 7-11 and the
+    exhaustive searches; Claims 3 and 6 are pinned by the n <= 9 digests."""
+    h = hashlib.sha256()
+    runs = ok = 0
+    for g in _large_instances():
+        runs += 1
+        ok += _fold_run(h, g.n, lambda: decompose_21(g))
+    assert (runs, ok) == (186, 185)
+    assert h.hexdigest() == LARGE_OUTPUTS_DIGEST

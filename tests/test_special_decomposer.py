@@ -121,3 +121,28 @@ def test_cross_derivation_independence():
             continue
         for req in supported_clauses(d.tag)[:2]:
             decompose_special(r, req)
+
+
+def test_reverse_member_serves_the_reversed_clause():
+    """When only the full reverse (g~, zyxw) of a configuration is a family
+    member, its construction for a G~ clause serves the forward clause with
+    each half of the caps read backwards (1002,0000 <-> 2001,0000,
+    1101,0000 <-> 1011,0000): the main decomposer's special-or-M2 step
+    rests on this."""
+    from planedec.config_algebra import full_reverse, recognize
+    from planedec.special_decomposer import G_TILDE
+    checks = 0
+    for d in generate_family(12):
+        fwd = d.config.oriented()
+        dr = recognize(full_reverse(fwd))
+        if dr is None:
+            continue
+        for req in supported_clauses(dr.tag):
+            if req not in G_TILDE:
+                continue
+            dec = decompose_special(dr, req)
+            caps = ",".join(half[::-1] for half in req.caps.split(","))
+            spec = ClauseRequest(caps).spec_for(fwd)
+            assert verify(fwd.graph, fwd.path, spec, dec).ok, (d.tag, req)
+            checks += 1
+    assert checks == 28
