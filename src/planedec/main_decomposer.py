@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Literal, Sequence
+from typing import Collection, Iterable, Literal, Sequence
 
 from .config_algebra import Configuration, full_reverse, recognize
 from .decomposition import (ConstraintSpec, Decomposition,
@@ -324,6 +324,29 @@ def _special_or_m2(piece: Piece, path: Sequence[int], caps: str, label: str,
     return piece.lift(decompose_special(d, ClauseRequest(caps)))
 
 
+def _search(cfg: Configuration, piece: Piece, named: dict[int, int],
+            boundary: Collection[int], drop: Collection[Edge], label: str,
+            trace: CaseTrace, reserved: dict[int, int] | None = None
+            ) -> Decomposition:
+    """The exhaustive fallback on a piece of cfg's graph, in parent ids.
+
+    A named vertex takes its given out-degree cap and stays unmatched; every
+    other vertex takes 1 on ``boundary`` and 2 elsewhere.  ``reserved``
+    takes off the budget already committed outside the piece.  The edges
+    are the piece's edges but ``drop``, sorted."""
+    tp = piece.to_parent
+    trace.add("Tiny", f"{label} n={len(tp)}")
+    reserved = reserved or {}
+    out_cap = {p: max(0, named.get(p, 1 if p in boundary else 2)
+                      - reserved.get(p, 0)) for p in tp}
+    edges = sorted({(tp[a - 1], tp[b - 1]) for a, b in piece.graph.edges}
+                   - set(drop))
+    dec = tiny_search(edges, out_cap, forbid_match=set(named))
+    if dec is None:
+        raise CounterexampleError(cfg, f"{label} search failed")
+    return dec
+
+
 def _claim1_peel(g: PlaneGraph, trace: CaseTrace) -> list[tuple[int, int, list[int]]]:
     """Claim 1 to exhaustion: ``light_peel(g)``, each deleted vertex traced
     as ``delete`` its id in the graph left.  No verify is due between two
@@ -520,8 +543,7 @@ def _claim2(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
             quad = (hp.pred(x), x, y, z)
         elif not w_in and z_in:
             # mirror: swap the roles of (w, x) and (z, y)
-            return _claim2(Configuration(g.reflect(), (z, y, x, w)),
-                           goal, trace)
+            return _claim2(full_reverse(cfg), goal, trace)
         elif w_in and goal == "M2":
             # z hangs off y: (H, y+ y x w) with goal M3 makes w unmatched too
             quad = (hp.succ(y), y, x, w)
@@ -743,7 +765,7 @@ def _claim4_case2(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposi
         return _case2_m3(cfg, trace)
     pieces = _y_chord_pieces(cfg)
     if pieces is None:
-        return _claim4_case2(Configuration(g.reflect(), (z, y, x, w)), goal, trace)
+        return _claim4_case2(full_reverse(cfg), goal, trace)
     if goal == "M0":
         return _case2_m0(cfg, pieces, trace)
     dec = _case2_m1(cfg, pieces, trace)
@@ -890,8 +912,7 @@ def resolve_two_chords(cfg: Configuration, trace: CaseTrace
     wuy = sorted(m for (a, m, b) in tch if {a, b} == {w, y})
     if wuy:
         trace.add("Claim7", "w-y two-chord")
-        mirror = Configuration(g.reflect(), (z, y, x, w))
-        return _claim_xuz(mirror, wuy[0], trace)
+        return _claim_xuz(full_reverse(cfg), wuy[0], trace)
     at_y = sorted(m for (a, m, b) in tch if y in (a, b))
     if at_y:
         trace.add("Claim7")
@@ -899,8 +920,7 @@ def resolve_two_chords(cfg: Configuration, trace: CaseTrace
     at_x = sorted(m for (a, m, b) in tch if x in (a, b))
     if at_x:
         trace.add("Claim7", "mirrored")
-        mirror = Configuration(g.reflect(), (z, y, x, w))
-        return _claim7(mirror, trace)
+        return _claim7(full_reverse(cfg), trace)
     return None
 
 
@@ -1010,16 +1030,8 @@ def _claim7_split(cfg: Configuration, u: int, fan: list[int],
     tp = int_subgraph(g, walk.stretch(xr, y) + (u,))
     dt = _special_or_m2(tp, (w, x, y, u), "1002,0000", "claim7 top", trace)
     rest = parts[0].union(*parts[1:]).adjust(add_arcs=[(z, y)])
-    if xi1 != xr:
-        return rest.union(dt)
-    # with no left part both the fan piece and the top cover u-x_r; whichever
-    # side's coverage survives must also respect x_r's single out-arc budget
-    spec = goal_spec("M2", cfg)
-    for dec in (_dedup_shared_edge(dt, rest, und(u, xr)),
-                _dedup_shared_edge(rest, dt, und(u, xr))):
-        if dec is not None and verify(g, cfg.path, spec, dec):
-            return dec
-    return _two_chord_patch_search(cfg, trace)
+    # with no left part both the fan piece and the top cover u-x_r
+    return _glue(cfg, [(dt, rest)], und(u, xr) if xi1 == xr else None, trace)
 
 
 def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
@@ -1028,8 +1040,8 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
     Decompose g minus y on the path (w, x, u, z), flip the forced arc into u,
     and point z at y; if the reduced graph has a chord or holds a special
     pattern (so the plain goal is unavailable there), fall back to
-    ``tiny_search`` on the reduced graph under the exact final caps.  The
-    search is exhaustive but pruned, so on 3 x L ladders it stays linear.
+    ``_search`` on the reduced graph under the exact final caps.  The search
+    is exhaustive but pruned, so on 3 x L ladders it stays linear.
     """
     g = cfg.graph
     w, x, y, z = cfg.path
@@ -1048,23 +1060,9 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
                                  add_arcs=[(u, z), (u, x), (z, y)])
     # a special pattern blocks the plain sub-goal: solve the reduced graph
     # directly under the final caps (z's budget is reserved for (z, y))
-    trace.add("Tiny", f"x-z two-chord n={gg.n}")
-    final_boundary = g.boundary_vertices
-    out_cap = {}
-    for c in gg.vertices():
-        p = piece.parent_of(c)
-        if p == w:
-            out_cap[c] = 1
-        elif p in (x, z):
-            out_cap[c] = 0
-        else:
-            out_cap[c] = 1 if p in final_boundary else 2
-    cm = piece.child_of
-    forbid = {cm[w], cm[x], cm[z]}
-    dec = tiny_search(sorted(gg.edges), out_cap, forbid_match=forbid)
-    if dec is None:
-        raise CounterexampleError(cfg, "x-z two-chord search failed")
-    return piece.lift(dec).adjust(add_arcs=[(z, y)])
+    dec = _search(cfg, piece, {w: 1, x: 0, z: 0}, g.boundary_vertices, (),
+                  "x-z two-chord", trace)
+    return dec.adjust(add_arcs=[(z, y)])
 
 
 def _claim7_g0(sub: Configuration, trace: CaseTrace) -> Decomposition:
@@ -1118,32 +1116,36 @@ def _claim7_top(cfg: Configuration, u: int, fan: list[int], trace: CaseTrace
     # top piece
     tp = int_subgraph(g, walk.stretch(xr, y) + (u,))
     dt = tp.lift(_claim7_top_0001(_sub_config(tp, (w, x, y, u)), trace))
-    spec = goal_spec("M2", cfg)
-    for wcl in w_clauses:
-        d_w = wp.lift(decompose_special(qd, wcl))
-        for dec in (_dedup_shared_edge(dt, d_w, und(u, xr)),
-                    _dedup_shared_edge(d_w, dt, und(u, xr))):
+    pairs = ((dt, wp.lift(decompose_special(qd, wcl))) for wcl in w_clauses)
+    return _glue(cfg, pairs, und(u, xr), trace)
+
+
+# Each of M0, M2 and M3, read in either path direction, implies (1001,1001)
+# with no side condition, and M1 never reaches Claim 7 (Claim 5 refuses it):
+# an assembly that fails this spec fails every goal.
+_ANY_GOAL = ConstraintSpec.parse("1001,1001")
+
+
+def _glue(cfg: Configuration, pairs: Iterable[tuple[Decomposition, Decomposition]],
+          shared: Edge | None, trace: CaseTrace) -> Decomposition:
+    """The first assembly of a pair (a, b) of part decompositions, in order,
+    that verifies; the exhaustive (1001,0000)-search when none does.
+
+    Parts that share no edge have the one candidate a + b, checked against
+    ``_ANY_GOAL``.  Parts that both cover the edge ``shared`` have two, a's
+    cover kept and then b's, checked against M2, which implies every goal;
+    whichever cover survives must respect its tail's budget."""
+    g = cfg.graph
+    spec = _ANY_GOAL if shared is None else goal_spec("M2", cfg)
+    for a, b in pairs:
+        cands = ((a.union(b),) if shared is None else
+                 (_dedup_shared_edge(a, b, shared), _dedup_shared_edge(b, a, shared)))
+        for dec in cands:
             if dec is not None and verify(g, cfg.path, spec, dec):
                 return dec
-    return _two_chord_patch_search(cfg, trace)
-
-
-def _two_chord_patch_search(cfg: Configuration, trace: CaseTrace
-                            ) -> Decomposition:
-    """Exhaustive (1001,0000)-search for the degenerate single-piece fans,
-    where the fixed recipes cannot trade the end vertex's budget between the
-    pieces."""
-    g = cfg.graph
     w, x, y, z = cfg.path
-    edges = sorted(set(g.edges) - {und(x, y)})
-    trace.add("Tiny", f"claim7 patch n={g.n}")
-    boundary = g.boundary_vertices
-    caps = {w: 1, x: 0, y: 0, z: 1}
-    out_cap = {v: caps.get(v, 1 if v in boundary else 2) for v in g.vertices()}
-    dec = tiny_search(edges, out_cap, forbid_match={w, x, y, z})
-    if dec is None:
-        raise CounterexampleError(cfg, "two-chord patch search found nothing")
-    return dec
+    return _search(cfg, Piece(g, tuple(g.vertices())), {w: 1, x: 0, y: 0, z: 1},
+                   g.boundary_vertices, {und(x, y)}, "claim7 patch", trace)
 
 
 def _drop_edge_coverage(dec: Decomposition, edge: Edge) -> Decomposition:
@@ -1247,7 +1249,7 @@ def cstar_finish(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         return _claim11(cfg, seq, first, trace)
     if last != s - 3:
         trace.add("Claim11", "mirrored")
-        mirror = Configuration(g.reflect(), (z, y, x, w))
+        mirror = full_reverse(cfg)
         mseq = build_cstar(mirror)
         mfirst = next(i for i, p in enumerate(mseq) if p not in boundary)
         return _claim11(mirror, mseq, mfirst, trace)
@@ -1255,28 +1257,22 @@ def cstar_finish(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     return _final_construction(cfg, seq, trace)
 
 
-def _anchored_m0(piece: Piece, x: int, y: int, trace: CaseTrace
+def _anchored_m0(cfg: Configuration, piece: Piece, trace: CaseTrace
                  ) -> Decomposition:
-    """An M0-style decomposition of the piece minus the edge x-y with zero
-    budget on x and y, in parent ids.  Degenerate pieces without a boundary
-    path go through the exhaustive search (tiny by construction)."""
+    """An M0-style decomposition of the piece minus the edge x-y of cfg's
+    path with zero budget on x and y, in parent ids.  Degenerate pieces
+    without a boundary path go through the exhaustive search (tiny by
+    construction)."""
+    x, y = cfg.path[1:3]
     try:
         quad = walk_quad(piece, x, y)
     except PlaneGraphError:
         quad = None
     if quad is not None:
         return _solve(piece, quad, "M0", trace)
-    gg = piece.graph
-    trace.add("Tiny", f"anchored n={gg.n}")
-    cx, cy = piece.child_of[x], piece.child_of[y]
-    boundary = gg.boundary_vertices
-    edges = sorted(set(gg.edges) - {und(cx, cy)})
-    out_cap = {v: 0 if v in (cx, cy) else (1 if v in boundary else 2)
-               for v in gg.vertices()}
-    dec = tiny_search(edges, out_cap, forbid_match={cx, cy})
-    if dec is None:
-        raise PlaneGraphError("tiny anchored search failed")
-    return piece.lift(dec)
+    tp = piece.to_parent
+    boundary = {tp[c - 1] for c in piece.graph.boundary_vertices}
+    return _search(cfg, piece, {x: 0, y: 0}, boundary, {und(x, y)}, "anchored", trace)
 
 
 def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
@@ -1290,7 +1286,7 @@ def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         raise CounterexampleError(cfg, "short chordless boundary in claim 8")
     keep = (set(g.vertices()) - set(vs)) | {x, y}
     piece = extract_piece(g, keep, outer_parent_edge=(x, y))
-    dprime = _anchored_m0(piece, x, y, trace)
+    dprime = _anchored_m0(cfg, piece, trace)
     # an edge v_ -> u_ of the walk away from the path: forward from u_
     # reaches x, backward from v_ reaches y
     pick = None
@@ -1311,45 +1307,27 @@ def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     return dprime.adjust(add_arcs=arcs + cross, add_matching=[(u_, v_)])
 
 
-def _anchored_0000(piece: Piece, g: PlaneGraph, w: int, x: int, y: int,
-                   trace: CaseTrace,
+def _anchored_0000(cfg: Configuration, piece: Piece, trace: CaseTrace,
                    reserved: dict[int, int] | None = None) -> Decomposition:
     """(1001,0000)-style decomposition of a reduced piece on (w, x, y, y+),
-    in parent ids.  When y dangles in the piece (its boundary run was cut
-    away), the structured route has no fourth path vertex; an exhaustive
-    search under the final caps takes over.  reserved maps parent ids to
-    out-degree budget already committed outside the piece (cross arcs to be
-    added)."""
-    gg = piece.graph
-    # The try also catches the PreconditionError or CounterexampleError that
-    # the recursive call raises (both are PlaneGraphErrors), and the search
-    # then solves the piece.  On the grid subgraphs of the large benchmark
-    # this masks two such errors on n = 14 pieces ("special containment
-    # present (R2)", "edges covered twice"); narrowing the try to the path
-    # lookup turns both into failures, so its scope stays as it is.
+    in parent ids.  reserved maps parent ids to out-degree budget already
+    committed outside the piece (cross arcs to be added).  An exhaustive
+    search under the final caps takes over when y dangles in the piece (its
+    boundary run was cut away, so there is no fourth path vertex) or when
+    the piece holds a special member (the recursion's precondition fails).
+    Every other error of the recursion is a fault and propagates."""
+    w, x, y, _ = cfg.path
     try:
-        return _obs_0000(piece, (w, x, y, piece.succ(y)), trace)
+        path = (w, x, y, piece.succ(y))
     except PlaneGraphError:
-        pass
-    trace.add("Tiny", f"anchored-0000 n={gg.n}")
-    cm = piece.child_of
-    reserved = reserved or {}
-    final_boundary = g.boundary_vertices
-    out_cap = {}
-    for c in gg.vertices():
-        p = piece.parent_of(c)
-        if p == w:
-            cap = 1
-        elif p in (x, y):
-            cap = 0
-        else:
-            cap = 1 if p in final_boundary else 2
-        out_cap[c] = max(0, cap - reserved.get(p, 0))
-    dec = tiny_search(sorted(set(gg.edges) - {und(cm[x], cm[y])}), out_cap,
-                       forbid_match={cm[w], cm[x], cm[y]})
-    if dec is None:
-        raise CounterexampleError(_as_cfg(g), "anchored piece search failed")
-    return piece.lift(dec)
+        path = None
+    if path is not None:
+        try:
+            return _obs_0000(piece, path, trace)
+        except PreconditionError:
+            pass
+    return _search(cfg, piece, {w: 1, x: 0, y: 0}, cfg.graph.boundary_vertices,
+                   {und(x, y)}, "anchored-0000", trace, reserved=reserved)
 
 
 def _obs_0000(piece: Piece, path: Sequence[int], trace: CaseTrace
@@ -1461,7 +1439,7 @@ def _claim11(cfg: Configuration, seq: list[int], i: int, trace: CaseTrace
     piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
     cross = [a for a in _arcs_into(g, piece, run_set0) if a != (y, z)]
     reserved = Counter(p for p, _ in cross)
-    dpp = _anchored_0000(piece, g, w, x, y, trace, reserved=reserved)
+    dpp = _anchored_0000(cfg, piece, trace, reserved=reserved)
     gi = int_subgraph(g, walk.stretch(wim, wip) + (wi,))
     di = _solve(gi, (wim, wi, wip, gi.pred(wip)), "M0", trace)
     di = di.adjust(drop_arcs=[(wim, wi)])

@@ -92,28 +92,26 @@ def _mirror(rot: Rotation) -> Rotation:
     return tuple((r[0],) + r[:0:-1] if r else r for r in rot)
 
 
-def _face_key(rot: Rotation, mirror: Rotation, face: Sequence[Edge],
-              top: int = 0) -> bytes:
+def _face_key(rot: Rotation, mirror: Rotation | None, face: Sequence[Edge]
+              ) -> bytes:
     """canonical_form of the plane graph (rot, face): the least code over the
-    face's directed edges in rot and over their reversals in the mirror, whose
-    outer face is the same walk traversed backwards.
+    face's directed edges in rot and, unless mirror is None, over their
+    reversals in the mirror, whose outer face is the same walk traversed
+    backwards.
 
-    Starts whose tail has fewer than ``top`` neighbours are skipped.  That
-    loses nothing when top is the largest degree on the face of a simple
-    graph with n <= 123, in the one-byte code: a code from a tail of degree d
-    reads n, 2, ..., d+1 and then 124 (the row separator), where a code from
-    a tail of larger degree reads d+2 < 124, so the latter is smaller.  In
-    the word code (n >= 124) the separator 0 is the least entry, the order
-    flips, and top must be 0.
+    Only starts whose tail has one degree d are encoded, which loses nothing
+    in a simple graph.  A code from a tail of degree d reads n, 2, ..., d+1
+    and then the row separator, where a code from a tail of larger degree
+    reads d+2.  In the one-byte code (n <= 123) the separator 124 exceeds
+    every label, so d is the face's largest degree; in the word code the
+    separator 0 is the least entry, so d is its smallest.
     """
-    return min(min(_encode(rot, u, v) for u, v in face if len(rot[u - 1]) >= top),
-               min(_encode(mirror, v, u) for u, v in face if len(rot[v - 1]) >= top))
-
-
-def _face_top(rot: Rotation, face: Sequence[Edge]) -> int:
-    """The largest ``top`` that _face_key may use on this face: its largest
-    degree for the one-byte code (n <= 123), 0 for the word code."""
-    return max(len(rot[u - 1]) for u, _ in face) if len(rot) <= 123 else 0
+    degrees = [len(rot[u - 1]) for u, _ in face]
+    d = max(degrees) if len(rot) <= 123 else min(degrees)
+    key = min(_encode(rot, u, v) for u, v in face if len(rot[u - 1]) == d)
+    if mirror is None:
+        return key
+    return min(key, min(_encode(mirror, v, u) for u, v in face if len(rot[v - 1]) == d))
 
 
 def bfs_encode(g: PlaneGraph, start: Edge) -> bytes:
@@ -132,16 +130,14 @@ def canonical_form(g: PlaneGraph, include_reflection: bool = True) -> bytes:
 
     Minimum of bfs_encode over all directed edges of the outer walk (and of
     the mirror image's outer walk when include_reflection is set).  Only
-    starts whose tail has the face's largest degree are encoded, which gives
-    the same minimum (see _face_key).
+    starts whose tail has the face's largest degree (n <= 123) or smallest
+    degree (n >= 124) are encoded, which gives the same minimum (see
+    _face_key).
     """
     if g.m == 0:
         return bytes([g.n])
-    face = g.faces[g.outer_face_id]
-    top = _face_top(g.rotation, face)
-    if include_reflection:
-        return _face_key(g.rotation, _mirror(g.rotation), face, top)
-    return min(_encode(g.rotation, u, v) for u, v in face if g.degree(u) >= top)
+    mirror = _mirror(g.rotation) if include_reflection else None
+    return _face_key(g.rotation, mirror, g.faces[g.outer_face_id])
 
 
 def config_key(g: PlaneGraph, path: Sequence[int]) -> bytes:
@@ -506,7 +502,7 @@ def plane_graphs_of(G: nx.Graph) -> list[PlaneGraph]:
         if mirror < rot:  # yielded, and keyed, before rot
             continue
         for face in _faces(rot):
-            key = _face_key(rot, mirror, face, _face_top(rot, face))
+            key = _face_key(rot, mirror, face)
             if key not in seen:
                 seen.add(key)
                 out.append(PlaneGraph(rot, face[0]))

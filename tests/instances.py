@@ -12,7 +12,8 @@ behind ``int_subgraph``, the window sets behind the path checks, the
 per-vertex arc scans behind ``verify_21`` and ``defective_coloring``, and
 the one piece per deleted vertex behind ``light_peel``, and the plain
 backtracking behind ``tiny_search``.  ``bench_grid_subgraph`` draws grid
-subgraphs with the benchmark's own generator.
+subgraphs with the benchmark's own generator, and ``bench_large_subgraph``
+the grid subgraphs of its ``large`` workload.
 """
 
 from __future__ import annotations
@@ -404,6 +405,14 @@ def _bench_generators():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_large_subgraph(seed: int, k: int, share: float, i: int) -> PlaneGraph:
+    """The i-th grid subgraph of size k and share ``share`` in the benchmark's
+    ``large`` workload at the seed, drawn by ``perfbench/generators.py`` as
+    that workload draws it."""
+    rng = random.Random(f"subgraph:{seed}:{k}:{share}:{i}")
+    return _bench_generators().grid_subgraph(k, share, rng)
 
 
 def bench_grid_subgraph(seed: int, k: int, share: float) -> PlaneGraph:

@@ -6,6 +6,7 @@ import sys
 import networkx as nx
 import pytest
 
+from planedec import main_decomposer
 from planedec.config_algebra import Configuration
 from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
                                     check_coloring, defective_coloring, verify,
@@ -19,7 +20,8 @@ from planedec.main_decomposer import (CaseTrace, CounterexampleError,
                                       has_separating_small_cycle,
                                       resolve_two_chords, small_cycles,
                                       walk_quad)
-from planedec.oracle import enumerate_configurations, enumerate_graphs
+from planedec.oracle import (brute_force, enumerate_configurations,
+                             enumerate_graphs)
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
                                   cycle_graph, int_subgraph, und)
 from planedec.sweeps import applicable_goals
@@ -197,7 +199,7 @@ def test_ladder_2x1000_decomposes_without_deep_recursion():
 
 # (seed, k, share) of bench_grid_subgraph: plain backtracking over the edges
 # left by _claim_xuz ran past 5 s of CPU on the first 13, and the last 6 hit
-# a 24-edge cap on the search in _anchored_0000 or _two_chord_patch_search
+# a 24-edge cap on the search in _anchored_0000 or Claim 7's patch search
 FORMER_SEARCH_FAILURES = [
     (1, 10, .1), (2, 8, .1), (4, 9, .4), (5, 7, .25), (5, 9, .25),
     (6, 8, .25), (6, 10, .1), (6, 10, .25), (7, 10, .25), (8, 9, .1),
@@ -214,12 +216,85 @@ def test_grid_subgraphs_that_needed_a_long_search(seed, k, share):
     assert verify_21(g, dec).ok
 
 
-@pytest.mark.xfail(strict=True, raises=CounterexampleError,
-                   reason="Claim 7 wrong assembly (ROADMAP item 1)")
 def test_grid_subgraph_with_the_claim7_wrong_assembly():
+    """Claim 7's unverified union covered an edge twice here; the glue now
+    checks it and falls back to the search."""
     g = instances.bench_grid_subgraph(10, 10, .25)
     dec, _ = decompose_21(g)
     assert verify_21(g, dec).ok
+
+
+# The graph behind ROADMAP item 1: Claim 7's fan piece and left part both
+# matched x_{i+1}, and their union went back unchecked (m = 11, within the
+# oracle's reach).
+CLAIM7_LEFT_PART_N9 = PlaneGraph(
+    ((2, 3, 4), (1, 6, 5), (1, 8, 7), (1, 7, 9), (2, 8), (2, 9), (3, 4),
+     (3, 5), (4, 6)), (2, 5))
+
+
+def test_claim7_left_part_assembly_on_every_n9_path():
+    """Every applicable goal on every boundary path decomposes, verifies,
+    and the oracle confirms it; (9, 6, 2, 5) and (6, 2, 5, 8) failed M0, M2
+    and M3 with a vertex matched twice."""
+    g = CLAIM7_LEFT_PART_N9
+    patched = 0
+    for quad in enumerate_configurations(g):
+        for goal in applicable_goals(g, quad):
+            cfg = Configuration(g, quad)
+            dec, trace = decompose_config(cfg, goal)
+            spec = goal_spec(goal, cfg)
+            assert verify(g, quad, spec, dec).ok
+            assert brute_force(g, quad, spec)
+            patched += ("Tiny", "claim7 patch n=9") in trace.entries
+    assert patched == 6
+
+
+@pytest.mark.parametrize("rot,outer", [
+    (((2, 3, 5, 4), (1, 7, 6), (1, 8), (1, 9), (1,), (2, 10, 8), (2, 9, 10),
+      (3, 6), (4, 7), (6, 7)), (1, 5)),
+    (((2, 3, 4), (1, 6, 5), (1, 8, 7), (1, 7, 9), (2, 10, 8), (2, 9, 10),
+      (3, 4), (3, 5), (4, 6), (5, 6)), (3, 7)),
+])
+def test_n10_graphs_with_the_claim7_wrong_assembly(rot, outer):
+    """Each failed on an n = 9 relabelling of the graph above."""
+    g = PlaneGraph(rot, outer)
+    dec, _ = decompose_21(g)
+    assert verify_21(g, dec).ok
+
+
+@pytest.mark.parametrize("seed,k,share,i", [
+    (3, 5, 0.1, 1), (3, 5, 0.4, 1), (10, 5, 0.1, 3)])
+def test_large_ops_with_the_claim7_wrong_assembly(seed, k, share, i):
+    """Three ops of the benchmark's large workload that raised 'edges
+    covered twice' from Claim 7."""
+    g = instances.bench_large_subgraph(seed, k, share, i)
+    dec, _ = decompose_21(g)
+    assert verify_21(g, dec).ok
+
+
+@pytest.mark.parametrize("error", [CounterexampleError, PreconditionError])
+def test_anchored_0000_searches_only_on_a_failed_precondition(monkeypatch, error):
+    """On this grid subgraph Claim 11's piece asks _obs_0000 once.  A
+    failed precondition there falls to the search; a fault propagates."""
+    g = instances.bench_grid_subgraph(7, 5, .4)
+    calls = []
+
+    def failing(piece, path, trace):
+        calls.append(path)
+        if error is PreconditionError:
+            raise PreconditionError("M2", "special containment present")
+        raise CounterexampleError(main_decomposer._sub_config(piece, path),
+                                  "assembled decomposition violates M2")
+
+    monkeypatch.setattr(main_decomposer, "_obs_0000", failing)
+    if error is CounterexampleError:
+        with pytest.raises(CounterexampleError):
+            decompose_21(g)
+    else:
+        dec, trace = decompose_21(g)
+        assert ("Tiny", "anchored-0000 n=12") in trace.entries
+        assert verify_21(g, dec).ok
+    assert len(calls) == 1
 
 
 class _OverBudget(Exception):
@@ -510,11 +585,11 @@ def _large_instances():
                 yield instances.bench_grid_subgraph(seed, k, share)
 
 
-# recorded with the same code as CONFIG_OUTPUTS_DIGEST; the one failure is
-# the wrong assembly on bench_grid_subgraph(10, 10, .25), folded as its
-# error type and message
+# every run succeeds; recorded with the same code as CONFIG_OUTPUTS_DIGEST
+# except for bench_grid_subgraph(10, 10, .25), whose fold was Claim 7's
+# wrong assembly (its error type and message) before the glue was verified
 LARGE_OUTPUTS_DIGEST = \
-    "c8601f76c3ea7d74caaeb9648d7de32dd3d5dc8472c54591515697e5a8654ba1"
+    "ab9b2401615c56ede3fd3a640aca0443c8cbf36c72117003260057e44f0e7b53"
 
 
 def test_large_outputs_frozen():
@@ -527,5 +602,5 @@ def test_large_outputs_frozen():
     for g in _large_instances():
         runs += 1
         ok += _fold_run(h, g.n, lambda: decompose_21(g))
-    assert (runs, ok) == (186, 185)
+    assert (runs, ok) == (186, 186)
     assert h.hexdigest() == LARGE_OUTPUTS_DIGEST

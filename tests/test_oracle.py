@@ -99,6 +99,30 @@ def test_canonical_form_beyond_one_byte():
     assert canonical_form(middle) == canonical_form(_relabelled(middle, perm))
 
 
+def _unfiltered_face_key(rot, mirror, face):
+    """The least code over every start of the face, in rot and, reversed, in
+    the mirror: the reference behind the degree filter of _face_key."""
+    return min(min(oracle._encode(rot, u, v) for u, v in face),
+               min(oracle._encode(mirror, v, u) for u, v in face))
+
+
+@pytest.mark.parametrize("kind,a,b", [
+    ("grid", 2, 100), ("grid", 12, 12),
+    *(("subgraph", k, .25) for k in range(12, 17)),
+])
+def test_canonical_form_is_the_unfiltered_min_past_one_byte(kind, a, b):
+    """In the word code (n >= 124) only starts of the outer face's least
+    degree are encoded; the least code over every start is the same."""
+    g = instances.grid(a, b) if kind == "grid" else \
+        instances.bench_grid_subgraph(1, a, b)
+    assert g.n >= 124
+    face = g.faces[g.outer_face_id]
+    assert canonical_form(g) == \
+        _unfiltered_face_key(g.rotation, oracle._mirror(g.rotation), face)
+    assert canonical_form(g, include_reflection=False) == \
+        min(oracle.bfs_encode(g, d) for d in face)
+
+
 def _rows_of_code(code):
     """n and the rows of a BFS code: one-byte entries split at 124 when the
     first byte (n) is nonzero, else 4-byte words split at 0."""
@@ -214,10 +238,8 @@ def test_embedding_enumeration_matches_reference_n7(monkeypatch):
             for face in PlaneGraph(rot, (1, rot[0][0])).faces:
                 pg = PlaneGraph(rot, face[0])
                 key = canonical_form(pg)
-                # top = 0 encodes from every start: the unfiltered reference
+                assert _unfiltered_face_key(rot, mirror, face) == key
                 assert oracle._face_key(rot, mirror, face) == key
-                top = max(pg.degree(u) for u, _ in face)
-                assert oracle._face_key(rot, mirror, face, top) == key
                 assert canonical_form(pg, include_reflection=False) == \
                     min(oracle.bfs_encode(pg, d) for d in face)
                 if key not in seen:
