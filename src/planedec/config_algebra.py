@@ -604,14 +604,13 @@ def contains_special(g: PlaneGraph, pattern: str,
     over interior content is itself a contained R (P) member and is reported
     directly; no larger member fits inside five boundary vertices.
     """
-    from .main_decomposer import has_separating_small_cycle  # cycle check shared
     w, x, y, z = path
     walk = g.boundary_walk
     if not walk.is_simple_cycle():
         raise PlaneGraphError("containment test requires a 2-connected graph")
     if chords(g, walk):
         raise PlaneGraphError("containment test requires a chordless boundary")
-    if has_separating_small_cycle(g) is not None:
+    if g.separating_small_cycle is not None:
         raise PlaneGraphError("containment test requires no separating 4-/5-cycles")
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")

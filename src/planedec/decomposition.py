@@ -10,8 +10,9 @@ the path's centre edge), and ``verify_21`` checks the whole-graph notion.
 from __future__ import annotations
 
 import graphlib
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .plane_graph import Edge, PlaneGraph, PlaneGraphError, chords, extract_piece, und
 
@@ -178,6 +179,20 @@ def _fail(clause: str, detail: str) -> VerifyReport:
     return VerifyReport(False, clause, detail)
 
 
+def _partition_failure(dec: Decomposition, want: AbstractSet[Edge]) -> VerifyReport | None:
+    """The failed report when the arcs and the matching do not cover the
+    edges in want exactly once each; None when they do."""
+    got = dec.covered_edges()
+    once = set(got)
+    if len(once) != len(got):
+        dup = sorted(e for e, c in Counter(got).items() if c > 1)
+        return _fail("partition", f"edges covered twice: {dup}")
+    if once != want:
+        return _fail("partition",
+                     f"missing={sorted(want - once)} extra={sorted(once - want)}")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # configuration path helpers
 # ---------------------------------------------------------------------------
@@ -275,15 +290,9 @@ def verify(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
     center = und(v2, v3)
 
     # (a) arcs + matching cover exactly E(g) - centre, once each
-    want = set(g.edges) - {center}
-    got = dec.covered_edges()
-    if len(got) != len(set(got)):
-        dup = sorted(e for e in set(got) if got.count(e) > 1)
-        return _fail("partition", f"edges covered twice: {dup}")
-    if set(got) != want:
-        missing = sorted(want - set(got))
-        extra = sorted(set(got) - want)
-        return _fail("partition", f"missing={missing} extra={extra}")
+    bad = _partition_failure(dec, g.edges - {center})
+    if bad is not None:
+        return bad
 
     # (b) matching property; partner[v] is v's matched partner
     partner: dict[int, int] = {}
@@ -338,14 +347,9 @@ def verify(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
 
 def verify_21(g: PlaneGraph, dec: Decomposition) -> VerifyReport:
     """Whole-graph check: partition of E(g), matching, acyclic, out-degree <= 2."""
-    want = set(g.edges)
-    got = dec.covered_edges()
-    if len(got) != len(set(got)):
-        dup = sorted(e for e in set(got) if got.count(e) > 1)
-        return _fail("partition", f"edges covered twice: {dup}")
-    if set(got) != want:
-        return _fail("partition",
-                     f"missing={sorted(want - set(got))} extra={sorted(set(got) - want)}")
+    bad = _partition_failure(dec, g.edges)
+    if bad is not None:
+        return bad
     touched: set[int] = set()
     for u, v in dec.matching:
         if u in touched or v in touched:

@@ -33,8 +33,11 @@ from .decomposition import (ConstraintSpec, Decomposition,
                             MatchedPartnerOnBoundary, und, verify, verify_21)
 from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
                           classify_darts_by_cycle, component_pieces,
-                          extract_piece, int_subgraph, light_peel, two_chords,
-                          validate)
+                          cycle_sides, extract_piece, int_subgraph,
+                          light_peel, two_chords, validate)
+# the small-cycle helpers lived here: re-exported for older imports
+from .plane_graph import (_bounds_face, has_separating_small_cycle,  # noqa: F401
+                          small_cycles)
 from .special_decomposer import ClauseRequest, decompose_special, \
     decompose_p2_shifted
 from .tiny_search import tiny_search
@@ -99,88 +102,6 @@ def goal_spec(goal: Goal, cfg: Configuration) -> ConstraintSpec:
 # ---------------------------------------------------------------------------
 # structural searches
 # ---------------------------------------------------------------------------
-
-def small_cycles(g: PlaneGraph, lengths=(4, 5)) -> list[tuple[int, ...]]:
-    """All cycles of the given lengths (4, 5 or both), sorted.
-
-    Each cycle appears once, canonically: rooted at its least vertex s, with
-    its second vertex a smaller than its last vertex b.  The cycles are
-    listed by neighbourhood intersection (Chiba & Nishizeki 1985): for each
-    pair a < b of neighbours of s above s, a 4-cycle (s, a, p, b) closes
-    through p in N(a) & N(b), and a 5-cycle (s, a, p, q, b) through p in N(a)
-    and q in N(p) & N(b), every vertex above s.  The graph need not be
-    triangle-free: the vertices of each cycle are checked to be distinct.
-    """
-    if not lengths or not set(lengths) <= {4, 5}:
-        raise ValueError(f"cycle lengths {tuple(lengths)} not among (4, 5)")
-    four, five = 4 in lengths, 5 in lengths
-    nb = [frozenset()] + [frozenset(r) for r in g.rotation]
-    out: list[tuple[int, ...]] = []
-    for s in g.vertices():
-        up = sorted(u for u in nb[s] if u > s)
-        for i, a in enumerate(up):
-            na = nb[a]
-            for b in up[i + 1:]:
-                nbb = nb[b]
-                if four:
-                    out.extend((s, a, p, b) for p in na & nbb
-                               if p > s and p != a and p != b)
-                if five:
-                    for p in na:
-                        if p > s and p != a and p != b:
-                            out.extend((s, a, p, q, b) for q in nb[p] & nbb
-                                       if q > s and q not in (a, p, b))
-    out.sort()
-    return out
-
-
-def cycle_sides(g: PlaneGraph, cycle: Sequence[int]) -> tuple[set[int], set[int]]:
-    """Vertices strictly inside / strictly outside a cycle."""
-    k = len(cycle)
-    cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    _, outside = classify_darts_by_cycle(g, cyc_edges)
-    inner, outer = set(), set()
-    cset = set(cycle)
-    for v in g.vertices():
-        if v in cset:
-            continue
-        out = [(v, u) in outside for u in g.neighbors(v)]
-        if not any(out):
-            inner.add(v)
-        elif all(out):
-            outer.add(v)
-        else:  # pragma: no cover - cannot happen for a cycle
-            raise PlaneGraphError("vertex saddles the cycle")
-    return inner, outer
-
-
-def _bounds_face(g: PlaneGraph, cycle: Sequence[int]) -> bool:
-    """Whether the face walk from (c0, c1), or from (c1, c0) for the reversed
-    cycle, runs exactly once around the cycle and closes."""
-    k = len(cycle)
-    for c in (cycle, cycle[1::-1] + cycle[:1:-1]):
-        d = (c[0], c[1])
-        for i in range(2, k + 2):
-            d = g.face_next(*d)
-            if d[1] != c[i % k]:
-                break
-        else:
-            return True
-    return False
-
-
-def has_separating_small_cycle(g: PlaneGraph) -> tuple[int, ...] | None:
-    """The first 4-/5-cycle (in small_cycles order) with a vertex strictly on
-    each side.  A cycle that bounds a face has one side without vertices, so
-    it is skipped after k face steps instead of a whole-graph flood."""
-    for cyc in small_cycles(g):
-        if _bounds_face(g, cyc):
-            continue
-        inner, outer = cycle_sides(g, cyc)
-        if inner and outer:
-            return cyc
-    return None
-
 
 def ext_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
     """Ext(C): everything outside or on the cycle (outer face inherited)."""
@@ -379,7 +300,7 @@ def _dispatch(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition
         return _claim2(cfg, goal, trace)
 
     # Claim 3: separating 4-/5-cycles, then 4-/5-cycle outer boundary
-    c0 = has_separating_small_cycle(g)
+    c0 = g.separating_small_cycle
     if c0 is not None:
         trace.add("Claim3", f"cycle {c0}")
         return _claim3_separating(cfg, goal, c0, trace)
@@ -1262,7 +1183,11 @@ def _anchored_m0(cfg: Configuration, piece: Piece, trace: CaseTrace
     """An M0-style decomposition of the piece minus the edge x-y of cfg's
     path with zero budget on x and y, in parent ids.  Degenerate pieces
     without a boundary path go through the exhaustive search (tiny by
-    construction)."""
+    construction).  It gives cap 1 to the piece's boundary walk and to
+    every vertex with a neighbour on g's boundary, whose cross arc the
+    caller adds: in a piece that falls apart, the components off the walk
+    hold such vertices too."""
+    g = cfg.graph
     x, y = cfg.path[1:3]
     try:
         quad = walk_quad(piece, x, y)
@@ -1270,8 +1195,10 @@ def _anchored_m0(cfg: Configuration, piece: Piece, trace: CaseTrace
         quad = None
     if quad is not None:
         return _solve(piece, quad, "M0", trace)
+    bset = g.boundary_vertices
     tp = piece.to_parent
-    boundary = {tp[c - 1] for c in piece.graph.boundary_vertices}
+    boundary = {tp[c - 1] for c in piece.graph.boundary_vertices} | {
+        p for p in tp if not bset.isdisjoint(g.neighbors(p))}
     return _search(cfg, piece, {x: 0, y: 0}, boundary, {und(x, y)}, "anchored", trace)
 
 
@@ -1410,11 +1337,11 @@ def _claim10(cfg: Configuration, seq: list[int], i: int, j: int,
 
 def _arcs_into(g: PlaneGraph, piece: Piece, targets: Collection[int]
                ) -> list[Edge]:
-    """The arcs (p, q), sorted, for every edge of g from a boundary vertex
-    p of the piece to a vertex q in targets."""
-    tp = piece.to_parent
-    sources = {tp[c - 1] for c in piece.graph.boundary_walk.vertices}
-    return sorted((p, q) for p in sources for q in g.neighbors(p) if q in targets)
+    """The arcs (p, q), sorted, for every edge of g from a vertex p of the
+    piece to a vertex q in targets.  A piece that falls apart has vertices
+    next to the targets off its boundary walk, so every vertex is a source."""
+    return sorted((p, q) for p in piece.to_parent for q in g.neighbors(p)
+                  if q in targets)
 
 
 def _fan_interior(g: PlaneGraph, a: int, u: int, b: int) -> set[int]:

@@ -11,6 +11,20 @@ With clockwise rotations this walks every face so that the face lies to the
 right of each directed edge; the designated outer trace therefore keeps the
 graph interior on the left, and "next boundary vertex" (v+) means the next
 vertex of that trace.
+
+Derived data is cached lazily on each graph.  The decomposition recurses
+only into sub-embeddings of a graph (``extract_piece`` and everything built
+on it) and into its mirror (``reflect``), so a new graph starts with what
+its parent already knows, wherever the parent has computed it:
+
+- every piece and mirror of a graph without a separating 4-/5-cycle has
+  none either: a cycle of the child splits the sphere as it does in the
+  parent;
+- Int(C) of a 2-connected graph is 2-connected: whatever a cut vertex of
+  Int(C) cuts off lies inside C, so it would cut the parent too.  A plain
+  piece may fall apart and inherits nothing of this;
+- a mirror has its parent's edges, components, blocks and small cycles,
+  and its boundary walk is the parent's read backwards from the outer edge.
 """
 
 from __future__ import annotations
@@ -341,6 +355,22 @@ class PlaneGraph:
         bd = self.block_decomposition
         return self.n >= 3 and len(bd.blocks) == 1 and self.is_connected()
 
+    # -- separating small cycles -------------------------------------------
+
+    @cached_property
+    def separating_small_cycle(self) -> tuple[int, ...] | None:
+        """The first 4-/5-cycle (in small_cycles order) with a vertex strictly
+        on each side, or None.  A cycle that bounds a face has one side
+        without vertices, so it is skipped after k face steps instead of a
+        whole-graph flood."""
+        for cyc in small_cycles(self):
+            if _bounds_face(self, cyc):
+                continue
+            inner, outer = cycle_sides(self, cyc)
+            if inner and outer:
+                return cyc
+        return None
+
     # -- triangle test -----------------------------------------------------
 
     def triangles(self) -> list[tuple[int, int, int]]:
@@ -359,7 +389,31 @@ class PlaneGraph:
         """Mirror image: reversed rotations; the outer face is preserved."""
         rot = tuple(tuple(reversed(r)) for r in self.rotation)
         u, v = self.outer
-        return PlaneGraph(rot, (v, u))
+        mirror = PlaneGraph(rot, (v, u))
+        # a mirror has the same vertices, edges and blocks, and the same small
+        # cycles, each splitting the sphere into the same two vertex sets
+        _inherit(mirror, self, ("m", "edges", "components", "block_decomposition",
+                                "separating_small_cycle"))
+        if "boundary_walk" in self.__dict__:
+            # the outer face traced backwards from (v1, v0): v1 v0 v_k-1 ... v2
+            vs = self.boundary_walk.vertices
+            mirror.__dict__["boundary_walk"] = FaceWalk(vs[1::-1] + vs[:1:-1])
+        return mirror
+
+
+def _inherit(child: PlaneGraph, parent: PlaneGraph,
+             names: Iterable[str] = ()) -> PlaneGraph:
+    """Seed the caches of child, a sub-embedding or the mirror of parent,
+    with what parent already knows: its separating-cycle verdict if that is
+    None, and each entry under names that parent has computed, which the
+    caller shows child shares."""
+    known = parent.__dict__
+    # a cycle of the child splits the sphere as it does in parent, so a
+    # separating one would separate parent too
+    if known.get("separating_small_cycle", ()) is None:
+        child.__dict__["separating_small_cycle"] = None
+    child.__dict__.update((k, known[k]) for k in names if k in known)
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +549,7 @@ def extract_piece(g: PlaneGraph, vertices: Iterable[int],
     a, b = outer_parent_edge
     if a not in child or b not in child:
         raise PlaneGraphError("outer edge endpoints not in piece")
-    piece = PlaneGraph(rot, (child[a], child[b]))
+    piece = _inherit(PlaneGraph(rot, (child[a], child[b])), g)
     return Piece(graph=piece, to_parent=tuple(verts))
 
 
@@ -583,8 +637,15 @@ def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
         # keep an edge iff at least one of its two sides is an inside face
         return (u, v) in inside or (v, u) in inside
 
-    return extract_piece(g, verts, keep_edge=keep,
-                         outer_parent_edge=seeds[1 - inner])
+    piece = extract_piece(g, verts, keep_edge=keep,
+                          outer_parent_edge=seeds[1 - inner])
+    if "block_decomposition" in g.__dict__ and g.is_two_connected():
+        # a cut vertex of Int(C) would cut g: what it cuts off lies inside C
+        h = piece.graph
+        whole = frozenset(h.vertices())
+        h.__dict__.update(components=(whole,), block_decomposition=BlockDecomposition(
+            blocks=(whole,), cut_vertices=frozenset()))
+    return piece
 
 
 def component_pieces(g: PlaneGraph) -> list[Piece]:
@@ -667,6 +728,84 @@ def light_peel(g: PlaneGraph) -> list[tuple[int, int, list[int]]]:
             heap = [u for u in g.vertices() if g.degree(u) <= 2
                     and u not in bset and u not in gone]
     return out
+
+
+# ---------------------------------------------------------------------------
+# small cycles
+# ---------------------------------------------------------------------------
+
+def small_cycles(g: PlaneGraph, lengths=(4, 5)) -> list[tuple[int, ...]]:
+    """All cycles of the given lengths (4, 5 or both), sorted.
+
+    Each cycle appears once, canonically: rooted at its least vertex s, with
+    its second vertex a smaller than its last vertex b.  The cycles are
+    listed by neighbourhood intersection (Chiba & Nishizeki 1985): for each
+    pair a < b of neighbours of s above s, a 4-cycle (s, a, p, b) closes
+    through p in N(a) & N(b), and a 5-cycle (s, a, p, q, b) through p in N(a)
+    and q in N(p) & N(b), every vertex above s.  The graph need not be
+    triangle-free: the vertices of each cycle are checked to be distinct.
+    """
+    if not lengths or not set(lengths) <= {4, 5}:
+        raise ValueError(f"cycle lengths {tuple(lengths)} not among (4, 5)")
+    four, five = 4 in lengths, 5 in lengths
+    nb = [frozenset()] + [frozenset(r) for r in g.rotation]
+    out: list[tuple[int, ...]] = []
+    for s in g.vertices():
+        up = sorted(u for u in nb[s] if u > s)
+        for i, a in enumerate(up):
+            na = nb[a]
+            for b in up[i + 1:]:
+                nbb = nb[b]
+                if four:
+                    out.extend((s, a, p, b) for p in na & nbb
+                               if p > s and p != a and p != b)
+                if five:
+                    for p in na:
+                        if p > s and p != a and p != b:
+                            out.extend((s, a, p, q, b) for q in nb[p] & nbb
+                                       if q > s and q not in (a, p, b))
+    out.sort()
+    return out
+
+
+def cycle_sides(g: PlaneGraph, cycle: Sequence[int]) -> tuple[set[int], set[int]]:
+    """Vertices strictly inside / strictly outside a cycle."""
+    k = len(cycle)
+    cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
+    _, outside = classify_darts_by_cycle(g, cyc_edges)
+    inner, outer = set(), set()
+    cset = set(cycle)
+    for v in g.vertices():
+        if v in cset:
+            continue
+        out = [(v, u) in outside for u in g.neighbors(v)]
+        if not any(out):
+            inner.add(v)
+        elif all(out):
+            outer.add(v)
+        else:  # pragma: no cover - cannot happen for a cycle
+            raise PlaneGraphError("vertex saddles the cycle")
+    return inner, outer
+
+
+def _bounds_face(g: PlaneGraph, cycle: Sequence[int]) -> bool:
+    """Whether the face walk from (c0, c1), or from (c1, c0) for the reversed
+    cycle, runs exactly once around the cycle and closes."""
+    k = len(cycle)
+    for c in (cycle, cycle[1::-1] + cycle[:1:-1]):
+        d = (c[0], c[1])
+        for i in range(2, k + 2):
+            d = g.face_next(*d)
+            if d[1] != c[i % k]:
+                break
+        else:
+            return True
+    return False
+
+
+def has_separating_small_cycle(g: PlaneGraph) -> tuple[int, ...] | None:
+    """``g.separating_small_cycle``: the first separating 4-/5-cycle, or None."""
+    return g.separating_small_cycle
 
 
 # ---------------------------------------------------------------------------

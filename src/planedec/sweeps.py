@@ -13,7 +13,7 @@ from typing import Iterable
 from .config_algebra import Configuration, contains_special, PATTERNS
 from .decomposition import verify
 from .main_decomposer import (CaseTrace, Goal, decompose_21, decompose_config,
-                              goal_spec, has_separating_small_cycle)
+                              goal_spec)
 from .oracle import brute_force, enumerate_configurations, enumerate_graphs
 from .plane_graph import PlaneGraph, chords
 from .decomposition import block_of_center
@@ -32,7 +32,7 @@ def special_preconditions_testable(g: PlaneGraph,
                                    path: tuple[int, int, int, int]) -> bool:
     """True when the restricted containment test applies to (g, path)."""
     return (g.is_two_connected() and g.boundary_walk.is_simple_cycle()
-            and not chords(g) and has_separating_small_cycle(g) is None)
+            and not chords(g) and g.separating_small_cycle is None)
 
 
 def applicable_goals(g: PlaneGraph, path: tuple[int, int, int, int]

@@ -115,6 +115,40 @@ def grid(r: int, c: int) -> PlaneGraph:
     raise AssertionError("no outer face of length 2(r + c) - 4")
 
 
+def nested_squares(k: int) -> PlaneGraph:
+    """C4 x P_k: k concentric 4-cycles, each vertex joined by a rung to its
+    copy on the next; vertex i of square j (outermost j = 0) is 1 + 4j + i.
+    Every square but the outermost and the innermost separates."""
+    rot = []
+    for j in range(k):
+        for i in range(4):
+            rot.append(tuple(1 + 4 * a + b % 4
+                             for a, b in ((j - 1, i), (j, i + 1), (j + 1, i), (j, i - 1))
+                             if 0 <= a < k))
+    g = next(g for g in (PlaneGraph(rot, (1, 2)), PlaneGraph(rot, (2, 1)))
+             if g.boundary_vertices == {1, 2, 3, 4})
+    assert validate(g).ok
+    return g
+
+
+def stale_cache_entries(g: PlaneGraph) -> list[str]:
+    """The names of g's cached derived data that differ from what a fresh
+    PlaneGraph(g.rotation, g.outer) computes.  Blocks compare as a set:
+    their DFS follows the rotations, which a mirror runs backwards."""
+    fresh = PlaneGraph(g.rotation, g.outer)
+    out = []
+    for name, value in g.__dict__.items():
+        if name in ("rotation", "outer"):
+            continue
+        want = getattr(fresh, name)
+        if name == "block_decomposition":
+            value = (set(value.blocks), value.cut_vertices)
+            want = (set(want.blocks), want.cut_vertices)
+        if value != want:
+            out.append(name)
+    return out
+
+
 @functools.cache
 def face_test_graphs() -> tuple[PlaneGraph, ...]:
     """Every graph of enumerate_graphs(7), a 6 x 6 grid and a 2 x 12 ladder."""

@@ -56,6 +56,23 @@ def test_verify_21_cases():
                                           matching=[(2, 3), (4, 1)])).ok
 
 
+def test_partition_report_text():
+    """Both verifiers name the edges covered twice, sorted, and otherwise
+    the edges missing and extra, in the same words."""
+    c4 = cycle_graph(4)
+    twice = Decomposition.of(arcs=[(3, 4), (4, 1), (1, 4)], matching=[(3, 4), (1, 2)])
+    for rep in (verify(c4, (1, 2, 3, 4), ConstraintSpec.parse("1001,1001"), twice),
+                verify_21(c4, twice)):
+        assert (rep.ok, rep.clause, rep.detail) == (
+            False, "partition", "edges covered twice: [(1, 4), (3, 4)]")
+    short = Decomposition.of(arcs=[(3, 4), (4, 1), (1, 3)])
+    rep = verify(c4, (1, 2, 3, 4), ConstraintSpec.parse("1001,1001"), short)
+    assert (rep.clause, rep.detail) == ("partition", "missing=[(1, 2)] extra=[(1, 3)]")
+    rep = verify_21(c4, short)
+    assert (rep.clause, rep.detail) == (
+        "partition", "missing=[(1, 2), (2, 3)] extra=[(1, 3)]")
+
+
 def test_degeneracy_order_cases():
     assert degeneracy_order(Decomposition.of(arcs=[(1, 2)]), [1, 2]) == [2, 1]
     order = degeneracy_order(

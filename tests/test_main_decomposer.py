@@ -6,7 +6,7 @@ import sys
 import networkx as nx
 import pytest
 
-from planedec import main_decomposer
+from planedec import main_decomposer, plane_graph
 from planedec.config_algebra import Configuration
 from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
                                     check_coloring, defective_coloring, verify,
@@ -604,3 +604,44 @@ def test_large_outputs_frozen():
         ok += _fold_run(h, g.n, lambda: decompose_21(g))
     assert (runs, ok) == (186, 186)
     assert h.hexdigest() == LARGE_OUTPUTS_DIGEST
+
+
+# grid subgraphs of the benchmark's large workload where Claim 8's G'' falls
+# apart into the lone edge x-y and the rest, as (seed, k, share, i) for
+# bench_large_subgraph: the ops 60 of seed 1, 45 and 85 of seed 7, 70 and 89
+# of seed 8, 75 of seed 10, 114 of seed 12, 85 of seed 13 and 75 of seed 15
+SPLIT_PIECE_CASES = [(1, 6, .4, 4), (7, 5, .4, 4), (7, 8, .25, 4), (8, 7, .25, 4),
+                     (8, 8, .4, 3), (10, 7, .4, 4), (12, 10, .25, 3),
+                     (13, 8, .25, 4), (15, 7, .4, 4)]
+
+
+@pytest.mark.parametrize("seed,k,share,i", SPLIT_PIECE_CASES)
+def test_claim8_piece_that_falls_apart(seed, k, share, i):
+    """The cross arcs and the search caps reach every component of G''."""
+    g = instances.bench_large_subgraph(seed, k, share, i)
+    dec, trace = decompose_21(g)
+    assert "Claim8" in trace.labels()
+    assert verify_21(g, dec)
+
+
+def test_inherited_caches_match_fresh_graphs(monkeypatch):
+    """Every piece and mirror built while decomposing the n <= 8 graphs,
+    C4 x P3, C4 x P5 and the grid subgraphs of the large workload at seeds 1
+    and 2 holds only cache entries that a fresh graph computes alike."""
+    children = []
+    inherit = plane_graph._inherit
+
+    def recorded(child, parent, names=()):
+        children.append(child)
+        return inherit(child, parent, names)
+
+    monkeypatch.setattr(plane_graph, "_inherit", recorded)
+    graphs = [*enumerate_graphs(8), instances.nested_squares(3),
+              instances.nested_squares(5)]
+    graphs += [instances.bench_large_subgraph(seed, k, share, i)
+               for seed in (1, 2) for k in range(5, 11)
+               for share in (.1, .25, .4) for i in range(5)]
+    for g in graphs:
+        decompose_21(g)
+    assert len(children) > 10_000
+    assert [g for g in children if instances.stale_cache_entries(g)] == []

@@ -7,8 +7,8 @@ from planedec.decomposition import Decomposition
 from planedec.oracle import enumerate_graphs
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
                                   chord_neighbors, classify_darts_by_cycle,
-                                  cycle_graph, int_subgraph, two_chords, und,
-                                  validate)
+                                  cycle_graph, extract_piece, int_subgraph,
+                                  two_chords, und, validate)
 
 import instances
 
@@ -333,3 +333,48 @@ def test_int_subgraph_rejects_disconnected_graph():
                    (1, 2))
     with pytest.raises(PlaneGraphError, match="connected"):
         int_subgraph(g, [1, 2, 3, 4])
+
+
+MIRRORED = {"m", "edges", "components", "block_decomposition",
+            "separating_small_cycle", "boundary_walk"}
+
+
+def test_mirror_inherits_its_parents_structure():
+    graphs = [*enumerate_graphs(6), instances.grid(4, 5), instances.nested_squares(3)]
+    for g in graphs:
+        for name in MIRRORED:
+            getattr(g, name)
+        mirror = g.reflect()
+        assert MIRRORED <= set(mirror.__dict__)
+        assert instances.stale_cache_entries(mirror) == []
+        assert mirror.reflect() == g
+    # nothing is seeded that the parent has not computed
+    grid = instances.grid(4, 5)
+    bare = PlaneGraph(grid.rotation, grid.outer)
+    assert set(bare.reflect().__dict__) == {"rotation", "outer"}
+
+
+def test_pieces_inherit_only_a_none_verdict():
+    g = instances.nested_squares(3)
+    assert g.separating_small_cycle == (5, 6, 7, 8)
+    inner = int_subgraph(g, (5, 6, 7, 8)).graph
+    assert "separating_small_cycle" not in inner.__dict__
+    assert inner.separating_small_cycle is None
+    grid = instances.grid(5, 5)
+    assert grid.separating_small_cycle is None
+    piece = extract_piece(grid, set(grid.vertices()) - {13}).graph
+    assert piece.__dict__["separating_small_cycle"] is None
+    assert instances.stale_cache_entries(piece) == []
+
+
+def test_only_interiors_inherit_two_connectedness():
+    g = instances.grid(4, 4)
+    cycle = (1, 2, 3, 7, 11, 10, 9, 5)
+    assert "block_decomposition" not in int_subgraph(g, cycle).graph.__dict__
+    assert g.is_two_connected()
+    inner = int_subgraph(g, cycle).graph
+    assert inner.n == 9 and "block_decomposition" in inner.__dict__
+    assert instances.stale_cache_entries(inner) == []
+    # a plain piece on the same vertices may fall apart: nothing is seeded
+    piece = extract_piece(g, set(cycle) | {6}).graph
+    assert "block_decomposition" not in piece.__dict__
