@@ -32,12 +32,8 @@ from .config_algebra import Configuration, full_reverse, recognize
 from .decomposition import (ConstraintSpec, Decomposition,
                             MatchedPartnerOnBoundary, und, verify, verify_21)
 from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
-                          classify_darts_by_cycle, component_pieces,
-                          cycle_sides, extract_piece, int_subgraph,
-                          light_peel, two_chords, validate)
-# the small-cycle helpers lived here: re-exported for older imports
-from .plane_graph import (_bounds_face, has_separating_small_cycle,  # noqa: F401
-                          small_cycles)
+                          component_pieces, extract_piece, int_ext_subgraphs,
+                          int_subgraph, light_peel, two_chords, validate)
 from .special_decomposer import ClauseRequest, decompose_special, \
     decompose_p2_shifted
 from .tiny_search import tiny_search
@@ -103,21 +99,10 @@ def goal_spec(goal: Goal, cfg: Configuration) -> ConstraintSpec:
 # structural searches
 # ---------------------------------------------------------------------------
 
-def ext_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
-    """Ext(C): everything outside or on the cycle (outer face inherited)."""
-    k = len(cycle)
-    cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    _, outside = classify_darts_by_cycle(g, cyc_edges)
-    verts = set(cycle)
-    for v in g.vertices():
-        nbrs = g.neighbors(v)
-        if nbrs and all((v, u) in outside for u in nbrs):
-            verts.add(v)
-
-    def keep(u: int, v: int) -> bool:
-        return (u, v) in outside or (v, u) in outside
-
-    return extract_piece(g, verts, keep_edge=keep, outer_parent_edge=g.outer)
+def _region(g: PlaneGraph, a: int, b: int, *via: int) -> Piece:
+    """Int(B[a, b] + via): the region cut off by the boundary walk from a to
+    b and the path back from b to a through via."""
+    return int_subgraph(g, g.boundary_walk.stretch(a, b) + via)
 
 
 def peel_piece(g: PlaneGraph, verts: set[int], cut: int) -> Piece:
@@ -138,41 +123,42 @@ def peel_piece(g: PlaneGraph, verts: set[int], cut: int) -> Piece:
     return extract_piece(g, verts, outer_parent_edge=anchor)
 
 
-def _quad_ending(piece: Piece, a: int, b: int, c: int) -> tuple[int, int, int, int]:
-    """The piece's boundary path (p, a, b, c) where a -> b -> c are walk
-    steps, in parent ids."""
-    tp = piece.to_parent
-    vs = [tp[v - 1] for v in piece.graph.boundary_walk.vertices]
-    k = len(vs)
+def _walk_path(walk: Sequence[int], steps: Sequence[int] = ()
+               ) -> tuple[int, int, int, int] | None:
+    """The first path (p, *steps, ...) of four distinct vertices along a
+    closed walk, read forwards or backwards, in which steps are consecutive
+    walk steps; with no steps, the first window of the walk read forwards.
+    None if there is none.  The places where the steps lie are taken in
+    walk order, forwards first."""
+    k, n = len(walk), len(steps)
+    steps = tuple(steps)
+    at = 1 if n else 0  # the path index where the steps start
+
+    def window(i: int) -> tuple[int, ...]:
+        return tuple(walk[(i + j) % k] for j in range(4))
+
     for i in range(k):
-        if (vs[i], vs[(i + 1) % k], vs[(i + 2) % k]) == (a, b, c):
-            quad = (vs[(i - 1) % k], a, b, c)
-            if len(set(quad)) == 4:
-                return quad
-        if (vs[i], vs[(i + 1) % k], vs[(i + 2) % k]) == (c, b, a):
-            quad = (vs[(i + 3) % k], a, b, c)
-            if len(set(quad)) == 4:
-                return quad
-    raise PlaneGraphError(f"no boundary quadruple ending {a},{b},{c}")
+        found = tuple(walk[(i + j) % k] for j in range(n))
+        if found == steps:
+            quad = window(i - at)
+        elif n and found == steps[::-1]:
+            quad = window(i + n + at - 4)[::-1]
+        else:
+            continue
+        if len(set(quad)) == 4:
+            return quad  # type: ignore[return-value]
+    return None
 
 
-def walk_quad(piece: Piece, u: int, v: int) -> tuple[int, int, int, int]:
-    """A boundary path (p, u, v, s) of the piece around a walk step u -> v
-    (or v -> u), in parent ids."""
+def walk_quad(piece: Piece, *steps: int) -> tuple[int, int, int, int]:
+    """A boundary path (p, *steps, ...) of four distinct vertices of the
+    piece, steps being consecutive steps of its boundary walk read either
+    way, in parent ids (``_walk_path``)."""
     tp = piece.to_parent
-    vs = [tp[c - 1] for c in piece.graph.boundary_walk.vertices]
-    k = len(vs)
-    for i in range(k):
-        a, b = vs[i], vs[(i + 1) % k]
-        if (a, b) == (u, v):
-            quad = (vs[(i - 1) % k], u, v, vs[(i + 2) % k])
-            if len(set(quad)) == 4:
-                return quad
-        if (a, b) == (v, u):
-            quad = (vs[(i + 2) % k], u, v, vs[(i - 1) % k])
-            if len(set(quad)) == 4:
-                return quad
-    raise PlaneGraphError(f"no clean boundary quadruple around {u}-{v}")
+    quad = _walk_path([tp[c - 1] for c in piece.graph.boundary_walk.vertices], steps)
+    if quad is None:
+        raise PlaneGraphError(f"no clean boundary path through {steps}")
+    return quad
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +480,8 @@ def _labelings(cycle: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _claim3_separating(cfg: Configuration, goal: Goal, c0: tuple[int, ...],
                        trace: CaseTrace) -> Decomposition:
     g = cfg.graph
-    d0 = _solve(ext_subgraph(g, c0), cfg.path, goal, trace)
-    ip = int_subgraph(g, c0)
+    ip, ep = int_ext_subgraphs(g, c0)
+    d0 = _solve(ep, cfg.path, goal, trace)
     p = len(c0)
     if p == 4:
         lab = next((L for L in _labelings(c0) if (L[1], L[0]) in d0.arcs), None)
@@ -547,7 +533,7 @@ def _extend_into_c4(g: PlaneGraph, ip: Piece, d0: Decomposition,
     re-add v3 as a sink for its interior neighbours."""
     v1, v2, v3, v4 = lab
     gp = _int_minus(g, ip, v3, v4, v1)
-    dprime = _solve(gp, _quad_ending(gp, v4, v1, v2), "M0", trace)
+    dprime = _solve(gp, walk_quad(gp, v4, v1, v2), "M0", trace)
     dprime = _free_ends(dprime, v2)
     return d0.union(dprime).adjust(add_arcs=_interior_arcs(g, ip, v3, (v2, v4)))
 
@@ -608,9 +594,7 @@ def _claim3_boundary_c5(cfg: Configuration, goal: Goal, trace: CaseTrace
 def _chord_sides(g: PlaneGraph, u: int, v: int) -> tuple[Piece, Piece]:
     """Pieces of the chord split: (side containing the walk stretch v..u,
     side containing the stretch u..v)."""
-    walk = g.boundary_walk
-    return (int_subgraph(g, walk.stretch(v, u)),
-            int_subgraph(g, walk.stretch(u, v)))
+    return _region(g, v, u), _region(g, u, v)
 
 
 def _balanced_chord(g: PlaneGraph, candidates: Sequence[Edge]) -> Edge:
@@ -858,9 +842,8 @@ def _first_non_r(g: PlaneGraph, u: int, fan: list[int]
                  ) -> tuple[int, Piece, Configuration] | None:
     """The first fan piece Int(B[x_i, x_i+1] + u) whose configuration
     (x_i+, x_i, u, x_i+1) is not an R member: (i, piece, configuration)."""
-    walk = g.boundary_walk
     for i in range(len(fan) - 1):
-        piece = int_subgraph(g, walk.stretch(fan[i], fan[i + 1]) + (u,))
+        piece = _region(g, fan[i], fan[i + 1], u)
         sub = _sub_config(piece, (g.boundary_succ(fan[i]), fan[i], u, fan[i + 1]))
         d = recognize(sub)
         if d is None or not d.in_R():
@@ -880,17 +863,16 @@ def _claim6(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
         raise CounterexampleError(cfg, "every wuz fan piece is an R-configuration")
     i, piece, sub = found
     xi, xi1 = fan[i], fan[i + 1]
-    walk = g.boundary_walk
     d_i = piece.lift(_recurse(sub, "M3", trace))
     if xi1 == w:
         # no left part: the added arc (u, w) takes over the edge u-w,
         # freeing w's budget for (w, x)
         parts = [_drop_edge_coverage(d_i, und(u, w))]
     else:
-        lp = int_subgraph(g, walk.stretch(xi1, w) + (u,))
+        lp = _region(g, xi1, w, u)
         parts = [d_i, _solve(lp, (lp.pred(w), w, u, xi1), "M0", trace)]
     if xi != z:
-        rp = int_subgraph(g, walk.stretch(z, xi) + (u,))
+        rp = _region(g, z, xi, u)
         parts.append(_solve(rp, (xi, u, z, rp.succ(z)), "M0", trace))
     dec = parts[0].union(*parts[1:])
     return dec.adjust(add_arcs=[(u, w), (w, x), (u, z), (z, y)])
@@ -932,7 +914,6 @@ def _claim7_split(cfg: Configuration, u: int, fan: list[int],
     """Sub-case A at the fan piece that ``_first_non_r`` found."""
     g = cfg.graph
     w, x, y, z = cfg.path
-    walk = g.boundary_walk
     i, piece, sub = found
     xi, xi1, xr = fan[i], fan[i + 1], fan[-1]
     if xi == y:
@@ -942,13 +923,13 @@ def _claim7_split(cfg: Configuration, u: int, fan: list[int],
         d_i = _recurse(sub, "M3", trace)
     parts = [piece.lift(d_i)]
     if xi1 != xr:
-        lp = int_subgraph(g, walk.stretch(xi1, xr) + (u,))
+        lp = _region(g, xi1, xr, u)
         parts.append(_solve(lp, (xi1, u, xr, lp.pred(xr)), "M0", trace))
     if xi != y:
-        rp = int_subgraph(g, walk.stretch(y, xi) + (u,))
+        rp = _region(g, y, xi, u)
         parts.append(_solve(rp, (u, y, z, rp.succ(z)), "M0", trace))
     # top piece: (1002,0000) by the chord-free case analysis
-    tp = int_subgraph(g, walk.stretch(xr, y) + (u,))
+    tp = _region(g, xr, y, u)
     dt = _special_or_m2(tp, (w, x, y, u), "1002,0000", "claim7 top", trace)
     rest = parts[0].union(*parts[1:]).adjust(add_arcs=[(z, y)])
     # with no left part both the fan piece and the top cover u-x_r
@@ -1022,11 +1003,10 @@ def _claim7_top(cfg: Configuration, u: int, fan: list[int], trace: CaseTrace
     """|C_r| >= 6: bottom fan is a Q member; the top needs (1001,0001)."""
     g = cfg.graph
     w, x, y, z = cfg.path
-    walk = g.boundary_walk
     xr = fan[-1]
     # bottom: the whole fan region on the path (z, y, u, x_r): a chain of the
     # R pieces, so a Q member for r >= 2 and an R member for r = 1
-    wp = int_subgraph(g, walk.stretch(y, xr) + (u,))
+    wp = _region(g, y, xr, u)
     qd = recognize(_sub_config(wp, (g.boundary_succ(y), y, u, xr)))
     if qd is None or qd.in_P():
         raise CounterexampleError(cfg, "fan union is not an R/Q member")
@@ -1035,7 +1015,7 @@ def _claim7_top(cfg: Configuration, u: int, fan: list[int], trace: CaseTrace
     else:
         w_clauses = [ClauseRequest("1001,0011", "yz"), ClauseRequest("1011,0000")]
     # top piece
-    tp = int_subgraph(g, walk.stretch(xr, y) + (u,))
+    tp = _region(g, xr, y, u)
     dt = tp.lift(_claim7_top_0001(_sub_config(tp, (w, x, y, u)), trace))
     pairs = ((dt, wp.lift(decompose_special(qd, wcl))) for wcl in w_clauses)
     return _glue(cfg, pairs, und(u, xr), trace)
@@ -1239,13 +1219,14 @@ def _anchored_0000(cfg: Configuration, piece: Piece, trace: CaseTrace,
     """(1001,0000)-style decomposition of a reduced piece on (w, x, y, y+),
     in parent ids.  reserved maps parent ids to out-degree budget already
     committed outside the piece (cross arcs to be added).  An exhaustive
-    search under the final caps takes over when y dangles in the piece (its
+    search under the final caps takes over when the piece falls apart (the
+    recursion needs a connected graph), when y dangles in the piece (its
     boundary run was cut away, so there is no fourth path vertex) or when
     the piece holds a special member (the recursion's precondition fails).
     Every other error of the recursion is a fault and propagates."""
     w, x, y, _ = cfg.path
     try:
-        path = (w, x, y, piece.succ(y))
+        path = (w, x, y, piece.succ(y)) if piece.graph.is_connected() else None
     except PlaneGraphError:
         path = None
     if path is not None:
@@ -1265,16 +1246,13 @@ def _obs_0000(piece: Piece, path: Sequence[int], trace: CaseTrace
     return _solve(piece, path, goal, trace)
 
 
-def _milestone_fans(g: PlaneGraph, seq: list[int], i: int, j: int,
+def _milestone_fans(gi: Piece, gj: Piece, seq: list[int], i: int, j: int,
                     trace: CaseTrace) -> tuple[Decomposition, Decomposition]:
     """The fan pieces G_i = Int(B[w_i-, w_i+] + w_i) and G_j of Claims 9
     and 10, each under M0 from its milestone's side, less the arcs
     (w_i+, w_i) and (w_j-, w_j), whose edges the rest of C* covers."""
-    walk = g.boundary_walk
     wim, wi, wip = seq[i - 1:i + 2]
     wjm, wj, wjp = seq[j - 1:j + 2]
-    gi = int_subgraph(g, walk.stretch(wim, wip) + (wi,))
-    gj = int_subgraph(g, walk.stretch(wjm, wjp) + (wj,))
     di = _solve(gi, (wip, wi, wim, gi.succ(wim)), "M0", trace)
     dj = _solve(gj, (wjm, wj, wjp, gj.pred(wjp)), "M0", trace)
     return di.adjust(drop_arcs=[(wip, wi)]), dj.adjust(drop_arcs=[(wjm, wj)])
@@ -1284,13 +1262,13 @@ def _claim9(cfg: Configuration, seq: list[int], i: int, j: int,
             trace: CaseTrace) -> Decomposition:
     g = cfg.graph
     wi, wj = seq[i], seq[j]
-    walk = g.boundary_walk
     wim, wip = seq[i - 1], seq[i + 1]
     wjm, wjp = seq[j - 1], seq[j + 1]
-    gp = int_subgraph(g, walk.stretch(wjp, wim) + (wi, wj))
-    g2 = int_subgraph(g, walk.stretch(wip, wjm) + (wj, wi))
+    gp = _region(g, wjp, wim, wi, wj)
+    g2 = _region(g, wip, wjm, wj, wi)
     dprime = _obs_0000(gp, cfg.path, trace)
-    di, dj = _milestone_fans(g, seq, i, j, trace)
+    di, dj = _milestone_fans(_region(g, wim, wip, wi), _region(g, wjm, wjp, wj),
+                             seq, i, j, trace)
     # directed-path dichotomy on G''; it covers either orientation of the
     # chord wi-wj in D', so wi and wj keep their names
     caps = "1011,0000" if _reaches(dprime, wi, wj) else "1101,0000"
@@ -1322,14 +1300,14 @@ def _claim10(cfg: Configuration, seq: list[int], i: int, j: int,
     wi, wj = seq[i], seq[j]
     wim, wip = seq[i - 1], seq[i + 1]
     wjm, wjp = seq[j - 1], seq[j + 1]
-    walk = g.boundary_walk
-    run = walk.stretch(wip, wjm)
-    gpp_verts = (set(g.vertices())
-                 - _fan_interior(g, wim, wi, wip) - _fan_interior(g, wjm, wj, wjp)
-                 - set(run))
-    piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
+    gi, gj = _region(g, wim, wip, wi), _region(g, wjm, wjp, wj)
+    run = g.boundary_walk.stretch(wip, wjm)
+    # G'' is what neither fan piece owns beyond its corners, less the run
+    owned = (set(gi.to_parent) - {wim, wi, wip}) | (set(gj.to_parent) - {wjm, wj, wjp})
+    piece = extract_piece(g, set(g.vertices()) - owned - set(run),
+                          outer_parent_edge=(x, y))
     dpp = _obs_0000(piece, cfg.path, trace)
-    di, dj = _milestone_fans(g, seq, i, j, trace)
+    di, dj = _milestone_fans(gi, gj, seq, i, j, trace)
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
     cross = _arcs_into(g, piece, set(run))
     return dpp.union(di, dj).adjust(add_arcs=path_arcs + cross)
@@ -1344,30 +1322,20 @@ def _arcs_into(g: PlaneGraph, piece: Piece, targets: Collection[int]
                   if q in targets)
 
 
-def _fan_interior(g: PlaneGraph, a: int, u: int, b: int) -> set[int]:
-    """Vertices strictly inside the fan region Int(B[a,b] + b-u-a) together
-    with the open boundary stretch between a and b (everything the fan piece
-    owns exclusively)."""
-    cyc = g.boundary_walk.stretch(a, b) + (u,)
-    inner, _ = cycle_sides(g, cyc)
-    return inner | (set(cyc) - {a, u, b})
-
-
 def _claim11(cfg: Configuration, seq: list[int], i: int, trace: CaseTrace
              ) -> Decomposition:
     g = cfg.graph
     w, x, y, z = cfg.path
     wi = seq[i]
     wim, wip = seq[i - 1], seq[i + 1]
-    walk = g.boundary_walk
-    run = walk.stretch(z, wim)
+    gi = _region(g, wim, wip, wi)
+    run = g.boundary_walk.stretch(z, wim)
     run_set0 = set(run)
-    gpp_verts = set(g.vertices()) - _fan_interior(g, wim, wi, wip) - run_set0
+    gpp_verts = set(g.vertices()) - (set(gi.to_parent) - {wim, wi, wip}) - run_set0
     piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
     cross = [a for a in _arcs_into(g, piece, run_set0) if a != (y, z)]
     reserved = Counter(p for p, _ in cross)
     dpp = _anchored_0000(cfg, piece, trace, reserved=reserved)
-    gi = int_subgraph(g, walk.stretch(wim, wip) + (wi,))
     di = _solve(gi, (wim, wi, wip, gi.pred(wip)), "M0", trace)
     di = di.adjust(drop_arcs=[(wim, wi)])
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
@@ -1381,11 +1349,10 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
     w, x, y, z = cfg.path
     w3, w4, w5 = seq[2], seq[3], seq[4]
     w6 = seq[5]
-    walk = g.boundary_walk
-    g3_inner = _fan_interior(g, z, w3, w4)
-    g5_inner = _fan_interior(g, w4, w5, w6)
-    gpp_verts = set(g.vertices()) - g3_inner - g5_inner - {w4}
-    piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
+    g3, g5 = _region(g, z, w4, w3), _region(g, w4, w6, w5)
+    owned = (set(g3.to_parent) - {z, w3, w4}) | (set(g5.to_parent) - {w4, w5, w6})
+    piece = extract_piece(g, set(g.vertices()) - owned - {w4},
+                          outer_parent_edge=(x, y))
     dpp = _obs_0000(piece, cfg.path, trace)
     if (z, w3) in dpp.arcs:
         # z's single permitted out-arc; safe to point it back at z
@@ -1393,7 +1360,6 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
     if (w3, z) not in dpp.arcs:
         raise CounterexampleError(cfg, "w3 cannot point at z in the final step")
     # G3 towards (z+ z w3 w4), needs (1011,1000)
-    g3 = int_subgraph(g, walk.stretch(z, w4) + (w3,))
     sub3 = _sub_config(g3, (g.boundary_succ(z), z, w3, w4))
     d3r = recognize(sub3)
     if d3r is not None and d3r.in_R():
@@ -1401,7 +1367,6 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
         d3 = g3.lift(decompose_special(d3r, ClauseRequest("1011,0000")))
     else:
         d3 = g3.lift(_recurse(sub3, "M3", trace))
-    g5 = int_subgraph(g, walk.stretch(w4, w6) + (w5,))
     d5 = _solve(g5, (g5.pred(w6), w6, w5, w4), "M0", trace)
     if (w4, w5) not in d5.arcs:
         raise CounterexampleError(cfg, "expected forced arc (w4, w5)")
@@ -1412,16 +1377,6 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
 # ---------------------------------------------------------------------------
 # whole-graph wrapper
 # ---------------------------------------------------------------------------
-
-def find_boundary_path(g: PlaneGraph) -> tuple[int, int, int, int] | None:
-    vs = g.boundary_walk.vertices
-    k = len(vs)
-    for i in range(k):
-        quad = tuple(vs[(i + j) % k] for j in range(4))
-        if len(set(quad)) == 4:
-            return quad  # type: ignore[return-value]
-    return None
-
 
 def decompose_21(g: PlaneGraph) -> tuple[Decomposition, CaseTrace]:
     """A whole-graph decomposition into an acyclic orientation of maximum
@@ -1439,7 +1394,7 @@ def decompose_21(g: PlaneGraph) -> tuple[Decomposition, CaseTrace]:
             trace.add("Tree", f"n={pg.n}")
             parts.append(piece.lift(Decomposition.of(_orient_tree(pg, 1))))
             continue
-        quad = find_boundary_path(pg)
+        quad = _walk_path(pg.boundary_walk.vertices)
         if quad is None:
             raise CounterexampleError(_as_cfg(pg), "no boundary path found")
         cfg = Configuration(pg, quad)

@@ -25,6 +25,12 @@ its parent already knows, wherever the parent has computed it:
   piece may fall apart and inherits nothing of this;
 - a mirror has its parent's edges, components, blocks and small cycles,
   and its boundary walk is the parent's read backwards from the outer edge.
+
+One flood answers every question of which side of a cycle C something lies
+on: ``inside_darts`` floods the inside of C only, and Int(C), Ext(C) and the
+vertices strictly inside or outside C are all read off its darts.  It tells
+the inside from the outside by which side holds the outer edge, so it needs
+a connected graph.
 """
 
 from __future__ import annotations
@@ -366,8 +372,9 @@ class PlaneGraph:
         for cyc in small_cycles(self):
             if _bounds_face(self, cyc):
                 continue
-            inner, outer = cycle_sides(self, cyc)
-            if inner and outer:
+            # every vertex off C and not strictly inside is strictly outside
+            inner = _strictly_inside(cyc, inside_darts(self, cyc)[0])
+            if inner and len(inner) + len(cyc) < self.n:
                 return cyc
         return None
 
@@ -480,20 +487,6 @@ def two_chords(g: PlaneGraph, walk: FaceWalk | None = None) -> set[tuple[int, in
     return out
 
 
-def chord_neighbors(g: PlaneGraph, walk: FaceWalk | None, S: Iterable[int]) -> set[int]:
-    """T(S): endpoints reached from S along chords of the walk."""
-    walk = walk or g.boundary_walk
-    ch = chords(g, walk)
-    S = set(S)
-    out = set()
-    for u, v in ch:
-        if u in S:
-            out.add(v)
-        if v in S:
-            out.add(u)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subgraph extraction
 # ---------------------------------------------------------------------------
@@ -553,26 +546,12 @@ def extract_piece(g: PlaneGraph, vertices: Iterable[int],
     return Piece(graph=piece, to_parent=tuple(verts))
 
 
-def classify_darts_by_cycle(g: PlaneGraph, cycle_edges: set[Edge]
-                            ) -> tuple[set[Edge], set[Edge]]:
-    """Split directed edges into (inside, outside) of a cycle given by
-    undirected edges.
-
-    Outside = darts reachable from the outer edge without crossing the cycle:
-    a dart steps to the next dart of its face, and to its reversal unless its
-    edge is on the cycle.  All darts of a face land on the same side.
-    """
-    outside: set[Edge] = set()
-    for _ in _side_darts(g, cycle_edges, g.outer, outside):
-        pass
-    inside = {(v, u) for v in g.vertices() for u in g.neighbors(v)} - outside
-    return inside, outside
-
-
 def _side_darts(g: PlaneGraph, cycle_edges: set[Edge], seed: Edge,
                 seen: set[Edge]) -> Iterator[Edge]:
     """Yield the darts reachable from seed without crossing the cycle, seed
-    first, adding each to seen as it is yielded."""
+    first, adding each to seen as it is yielded: a dart steps to the next
+    dart of its face, and to its reversal unless its edge is on the cycle.
+    All darts of a face land on the same side."""
     seen.add(seed)
     yield seed
     stack = [seed]
@@ -590,14 +569,14 @@ def _side_darts(g: PlaneGraph, cycle_edges: set[Edge], seed: Edge,
             yield d
 
 
-def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
-    """Int(C): everything drawn inside or on the cycle, with C as boundary.
+def inside_darts(g: PlaneGraph, cycle: Sequence[int]) -> tuple[set[Edge], Edge]:
+    """The darts inside the cycle C, and the dart of C's first edge that
+    faces outside.
 
     g must be connected.  Only the inside is flooded: the two darts of the
     first cycle edge seed one flood per side, run in lockstep.  The side
-    that meets ``g.outer`` is the outside and its seed dart becomes the
-    piece's outer edge; the other side is flooded to its end, and its darts
-    and the vertices all of whose darts it holds make up Int(C).
+    that meets ``g.outer`` is the outside; the other side is flooded to its
+    end.  A vertex off C has all its darts on one side of C.
     """
     k = len(cycle)
     if k < 3 or len(set(cycle)) != k:
@@ -606,10 +585,9 @@ def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
         if not g.has_edge(cycle[i], cycle[(i + 1) % k]):
             raise PlaneGraphError("not a cycle of g")
     if not g.is_connected():
-        raise PlaneGraphError("Int(C) needs a connected graph")
+        raise PlaneGraphError("the sides of a cycle need a connected graph")
     cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    a, b = cycle[0], cycle[1]
-    seeds = ((a, b), (b, a))
+    seeds = ((cycle[0], cycle[1]), (cycle[1], cycle[0]))
     sides: tuple[set[Edge], set[Edge]] = (set(), set())
     floods = [_side_darts(g, cyc_edges, seeds[j], sides[j]) for j in (0, 1)]
     inner = None
@@ -626,19 +604,24 @@ def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
                 break
     for _ in floods[inner]:
         pass
-    inside = sides[inner]
+    return sides[inner], seeds[1 - inner]
 
-    verts = set(cycle)
-    for v in {u for u, _ in inside}:
-        if all((v, u) in inside for u in g.neighbors(v)):
-            verts.add(v)
+
+def _strictly_inside(cycle: Sequence[int], inside: set[Edge]) -> set[int]:
+    """The vertices off the cycle with a dart inside it."""
+    return {u for u, _ in inside}.difference(cycle)
+
+
+def _int_piece(g: PlaneGraph, inside: set[Edge], outer: Edge) -> Piece:
+    """Int(C) from the darts inside C: every vertex with a dart inside (C's
+    own vertices among them), every edge with a dart inside, and C's dart
+    outer facing outside as its outer edge."""
 
     def keep(u: int, v: int) -> bool:
-        # keep an edge iff at least one of its two sides is an inside face
         return (u, v) in inside or (v, u) in inside
 
-    piece = extract_piece(g, verts, keep_edge=keep,
-                          outer_parent_edge=seeds[1 - inner])
+    piece = extract_piece(g, {u for u, _ in inside}, keep_edge=keep,
+                          outer_parent_edge=outer)
     if "block_decomposition" in g.__dict__ and g.is_two_connected():
         # a cut vertex of Int(C) would cut g: what it cuts off lies inside C
         h = piece.graph
@@ -646,6 +629,26 @@ def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
         h.__dict__.update(components=(whole,), block_decomposition=BlockDecomposition(
             blocks=(whole,), cut_vertices=frozenset()))
     return piece
+
+
+def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
+    """Int(C): everything drawn inside or on the cycle, with C as boundary.
+    g must be connected."""
+    return _int_piece(g, *inside_darts(g, cycle))
+
+
+def int_ext_subgraphs(g: PlaneGraph, cycle: Sequence[int]) -> tuple[Piece, Piece]:
+    """Int(C) and Ext(C) from one flood.  Ext(C) is everything drawn
+    outside or on the cycle: every vertex but those strictly inside, every
+    edge with a dart outside, and g's outer edge.  g must be connected."""
+    inside, outer = inside_darts(g, cycle)
+
+    def keep(u: int, v: int) -> bool:
+        return (u, v) not in inside or (v, u) not in inside
+
+    ext = extract_piece(g, set(g.vertices()) - _strictly_inside(cycle, inside),
+                        keep_edge=keep, outer_parent_edge=g.outer)
+    return _int_piece(g, inside, outer), ext
 
 
 def component_pieces(g: PlaneGraph) -> list[Piece]:
@@ -768,26 +771,6 @@ def small_cycles(g: PlaneGraph, lengths=(4, 5)) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_sides(g: PlaneGraph, cycle: Sequence[int]) -> tuple[set[int], set[int]]:
-    """Vertices strictly inside / strictly outside a cycle."""
-    k = len(cycle)
-    cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    _, outside = classify_darts_by_cycle(g, cyc_edges)
-    inner, outer = set(), set()
-    cset = set(cycle)
-    for v in g.vertices():
-        if v in cset:
-            continue
-        out = [(v, u) in outside for u in g.neighbors(v)]
-        if not any(out):
-            inner.add(v)
-        elif all(out):
-            outer.add(v)
-        else:  # pragma: no cover - cannot happen for a cycle
-            raise PlaneGraphError("vertex saddles the cycle")
-    return inner, outer
-
-
 def _bounds_face(g: PlaneGraph, cycle: Sequence[int]) -> bool:
     """Whether the face walk from (c0, c1), or from (c1, c0) for the reversed
     cycle, runs exactly once around the cycle and closes."""
@@ -801,11 +784,6 @@ def _bounds_face(g: PlaneGraph, cycle: Sequence[int]) -> bool:
         else:
             return True
     return False
-
-
-def has_separating_small_cycle(g: PlaneGraph) -> tuple[int, ...] | None:
-    """``g.separating_small_cycle``: the first separating 4-/5-cycle, or None."""
-    return g.separating_small_cycle
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ embedding is found by searching rotation systems, so only the combinatorial
 shape is hand-made.  ``grid``, ``subdivided_ladder`` and ``grid_subgraph``
 build grids, ladders and their relatives far beyond n = 9.  The
 ``reference_*`` functions are the whole-graph scans that the library
-replaced with cheaper ones, kept as their references: the face flood behind
-the dart classification, the DFS behind ``small_cycles``, the outside flood
-behind ``int_subgraph``, the window sets behind the path checks, the
-per-vertex arc scans behind ``verify_21`` and ``defective_coloring``, and
+replaced with cheaper ones, kept as their references: the face flood and
+the outside flood (``classify_darts_by_cycle``) behind ``inside_darts``,
+``int_subgraph`` and Ext(C), the DFS behind ``small_cycles``, the three
+walk scans behind ``_walk_path``, the window sets behind the path checks,
+the per-vertex arc scans behind ``verify_21`` and ``defective_coloring``,
 the one piece per deleted vertex behind ``light_peel``, and the plain
 backtracking behind ``tiny_search``.  ``bench_grid_subgraph`` draws grid
 subgraphs with the benchmark's own generator, and ``bench_large_subgraph``
@@ -29,8 +30,7 @@ from planedec.decomposition import (Decomposition, VerifyReport,
                                     degeneracy_order)
 from planedec.oracle import enumerate_graphs, rotation_systems
 from planedec.plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError,
-                                  classify_darts_by_cycle, extract_piece, und,
-                                  validate)
+                                  extract_piece, und, validate)
 
 
 def embed(n: int, edges: list[tuple[int, int]], outer_cycle: list[int]) -> PlaneGraph:
@@ -201,6 +201,27 @@ def reference_small_cycles(g: PlaneGraph, lengths=(4, 5)) -> list[tuple[int, ...
     return sorted(out)
 
 
+def classify_darts_by_cycle(g: PlaneGraph, cycle_edges: set[Edge]
+                            ) -> tuple[set[Edge], set[Edge]]:
+    """Split the darts into (inside, outside) of a cycle given by its
+    undirected edges.  Outside is every dart reachable from the outer edge
+    without crossing the cycle: a dart steps to the next dart of its face,
+    and to its reversal unless its edge is on the cycle."""
+    outside = {g.outer}
+    stack = [g.outer]
+    while stack:
+        u, v = stack.pop()
+        steps = [g.face_next(u, v)]
+        if und(u, v) not in cycle_edges:
+            steps.append((v, u))
+        for d in steps:
+            if d not in outside:
+                outside.add(d)
+                stack.append(d)
+    inside = {(v, u) for v in g.vertices() for u in g.neighbors(v)} - outside
+    return inside, outside
+
+
 def reference_int_subgraph(g: PlaneGraph, cycle: list[int]) -> Piece:
     """Int(C) from the whole-graph dart classification: the outside is
     flooded from g.outer, everything else is inside, and the piece's outer
@@ -223,6 +244,61 @@ def reference_int_subgraph(g: PlaneGraph, cycle: list[int]) -> Piece:
             if de in outside:
                 return extract_piece(g, verts, keep_edge=keep, outer_parent_edge=de)
     raise PlaneGraphError("cycle has no outside face side")
+
+
+def reference_ext_subgraph(g: PlaneGraph, cycle: list[int]) -> Piece:
+    """Ext(C) from the whole-graph dart classification: the cycle, every
+    vertex all of whose darts lie outside, every edge with a dart outside,
+    and g's outer edge."""
+    k = len(cycle)
+    cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
+    _, outside = classify_darts_by_cycle(g, cyc_edges)
+    verts = set(cycle)
+    for v in g.vertices():
+        nbrs = g.neighbors(v)
+        if nbrs and all((v, u) in outside for u in nbrs):
+            verts.add(v)
+
+    def keep(u: int, v: int) -> bool:
+        return (u, v) in outside or (v, u) in outside
+
+    return extract_piece(g, verts, keep_edge=keep, outer_parent_edge=g.outer)
+
+
+def reference_walk_scans(walk: list[int], steps: tuple[int, ...]
+                         ) -> tuple[int, ...] | None:
+    """The scan that ``_walk_path(walk, steps)`` replaced, by the number
+    of steps: the first window of four distinct vertices (no steps); a path
+    (p, u, v, s) around a step u -> v or v -> u (two); a path (p, a, b, c)
+    ending in the steps a -> b -> c or c -> b -> a (three)."""
+    vs, k = walk, len(walk)
+    for i in range(k):
+        if not steps:
+            quad = tuple(vs[(i + j) % k] for j in range(4))
+            if len(set(quad)) == 4:
+                return quad
+        elif len(steps) == 2:
+            u, v = steps
+            a, b = vs[i], vs[(i + 1) % k]
+            if (a, b) == (u, v):
+                quad = (vs[(i - 1) % k], u, v, vs[(i + 2) % k])
+                if len(set(quad)) == 4:
+                    return quad
+            if (a, b) == (v, u):
+                quad = (vs[(i + 2) % k], u, v, vs[(i - 1) % k])
+                if len(set(quad)) == 4:
+                    return quad
+        else:
+            a, b, c = steps
+            if (vs[i], vs[(i + 1) % k], vs[(i + 2) % k]) == (a, b, c):
+                quad = (vs[(i - 1) % k], a, b, c)
+                if len(set(quad)) == 4:
+                    return quad
+            if (vs[i], vs[(i + 1) % k], vs[(i + 2) % k]) == (c, b, a):
+                quad = (vs[(i + 3) % k], a, b, c)
+                if len(set(quad)) == 4:
+                    return quad
+    return None
 
 
 @functools.lru_cache(maxsize=4)

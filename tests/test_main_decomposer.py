@@ -13,17 +13,15 @@ from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
                                     verify_21)
 from planedec.main_decomposer import (CaseTrace, CounterexampleError,
                                       DecomposeError, PreconditionError,
-                                      _balanced_chord, _bounds_face,
-                                      _claim1_peel, _quad_ending,
-                                      decompose_21,
+                                      _balanced_chord, _claim1_peel,
+                                      _walk_path, decompose_21,
                                       decompose_config, goal_spec,
-                                      has_separating_small_cycle,
-                                      resolve_two_chords, small_cycles,
-                                      walk_quad)
+                                      resolve_two_chords, walk_quad)
 from planedec.oracle import (brute_force, enumerate_configurations,
                              enumerate_graphs)
-from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
-                                  cycle_graph, int_subgraph, und)
+from planedec.plane_graph import (PlaneGraph, PlaneGraphError, _bounds_face,
+                                  chords, cycle_graph, int_subgraph,
+                                  small_cycles, und)
 from planedec.sweeps import applicable_goals
 
 import instances
@@ -100,11 +98,11 @@ def test_goal_monotonicity():
 
 
 def test_separating_cycle_detection():
-    assert has_separating_small_cycle(cycle_graph(6)) is None
+    assert cycle_graph(6).separating_small_cycle is None
     # K_{2,3}: the boundary 4-cycle has a vertex inside but nothing outside
     g = PlaneGraph({1: (2, 3, 4), 2: (1, 5), 3: (1, 5), 4: (1, 5),
                     5: (2, 4, 3)}, (1, 2))
-    assert has_separating_small_cycle(g) is None
+    assert g.separating_small_cycle is None
 
 
 def _triangle_graphs():
@@ -166,7 +164,7 @@ def test_separating_cycle_matches_face_flood():
     found = facial = 0
     for g in instances.face_test_graphs():
         want = _reference_separating_cycle(g)
-        assert has_separating_small_cycle(g) == want
+        assert g.separating_small_cycle == want
         found += want is not None
         faces = {frozenset(f) for f in g.faces}
         for cyc in instances.reference_small_cycles(g):
@@ -473,7 +471,7 @@ def test_balanced_chord_is_the_middle_rung(L):
 def test_piece_boundary_steps_speak_parent_ids():
     """On Int(C) for the 8-cycle around the top-left 3 x 3 block of the
     4 x 4 grid (child ids 1..9, parent ids 1..11), Piece.succ/pred,
-    walk_quad and _quad_ending take and give parent ids."""
+    and walk_quad take and give parent ids."""
     cyc = (1, 2, 3, 7, 11, 10, 9, 5)
     piece = int_subgraph(instances.grid(4, 4), cyc)
     assert piece.to_parent == (1, 2, 3, 5, 6, 7, 9, 10, 11)
@@ -487,7 +485,31 @@ def test_piece_boundary_steps_speak_parent_ids():
         piece.succ(6)  # inside C, off the boundary
     assert walk_quad(piece, 3, 7) == (2, 3, 7, 11)
     assert walk_quad(piece, 7, 3) == (11, 7, 3, 2)
-    assert _quad_ending(piece, 9, 5, 1) == (10, 9, 5, 1)
+    assert walk_quad(piece, 9, 5, 1) == (10, 9, 5, 1)
+    assert walk_quad(piece, 1, 5, 9) == (2, 1, 5, 9)
+    with pytest.raises(PlaneGraphError):
+        walk_quad(piece, 5, 6)  # not a walk step
+
+
+def test_walk_path_keeps_the_first_match_of_the_three_scans():
+    """On the boundary walks of the n <= 7 graphs and of spanning trees of
+    the 3 x 3 and 5 x 5 grids, walks that repeat vertices, the one scan
+    gives what the three it replaced gave: the first window, and the first
+    path around every walk step and ending in every run of three walk
+    steps, read either way."""
+    walks = [g.boundary_walk.vertices for g in (
+        *instances.face_test_graphs(),
+        *(instances.grid_subgraph(k, 0.0, seed) for k in (3, 5) for seed in range(6)))]
+    checked = 0
+    for vs in walks:
+        k = len(vs)
+        assert _walk_path(vs) == instances.reference_walk_scans(vs, ())
+        for i in range(k):
+            pair, run = (vs[i], vs[(i + 1) % k]), tuple(vs[(i + j) % k] for j in range(3))
+            for steps in (pair, pair[::-1], run, run[::-1]):
+                assert _walk_path(vs, steps) == instances.reference_walk_scans(vs, steps)
+                checked += 1
+    assert checked > 6000
 
 
 def test_decompose_21_c4():
@@ -621,6 +643,16 @@ def test_claim8_piece_that_falls_apart(seed, k, share, i):
     g = instances.bench_large_subgraph(seed, k, share, i)
     dec, trace = decompose_21(g)
     assert "Claim8" in trace.labels()
+    assert verify_21(g, dec)
+
+
+def test_claim11_piece_that_falls_apart():
+    """Op 119 of the large workload's seed 21: Claim 11's G'' falls apart,
+    and the anchored search decomposes it instead of a recursion."""
+    g = instances.bench_large_subgraph(21, 10, .4, 3)
+    dec, trace = decompose_21(g)
+    assert "Claim11" in trace.labels()
+    assert ("Tiny", "anchored-0000 n=25") in trace.entries
     assert verify_21(g, dec)
 
 

@@ -6,9 +6,9 @@ import pytest
 from planedec.decomposition import Decomposition
 from planedec.oracle import enumerate_graphs
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
-                                  chord_neighbors, classify_darts_by_cycle,
-                                  cycle_graph, extract_piece, int_subgraph,
-                                  two_chords, und, validate)
+                                  cycle_graph, extract_piece, inside_darts,
+                                  int_ext_subgraphs, int_subgraph, two_chords,
+                                  und, validate)
 
 import instances
 
@@ -167,11 +167,10 @@ def test_blocks_pendant():
     assert set(bd.cut_vertices) == {4}
 
 
-def test_chords_and_chord_neighbors():
+def test_chords_of_the_hexagon_with_chord():
     g = hexagon_with_chord()
     walk = g.boundary_walk
     assert chords(g, walk) == {(1, 4)}
-    assert chord_neighbors(g, walk, {1}) == {4}
 
 
 def test_two_chords():
@@ -184,7 +183,6 @@ def test_chordless_c6_has_nothing():
     g = cycle_graph(6)
     assert chords(g) == set()
     assert two_chords(g) == set()
-    assert chord_neighbors(g, None, set(g.vertices())) == set()
 
 
 def test_int_subgraph_identity():
@@ -277,25 +275,57 @@ def test_boundary_walk_is_the_outer_face_trace():
         assert walk.edges == rotated
 
 
+def _test_cycles(g):
+    """Every 4-/5-cycle of g and its boundary cycle, if simple."""
+    cycles = instances.reference_small_cycles(g)
+    if g.boundary_walk.is_simple_cycle():
+        cycles.append(g.boundary_walk.vertices)
+    return cycles
+
+
 def test_dart_classification_matches_face_flood():
-    """Every dart lands on the side of its face in the face-adjacency flood,
-    for every 4-/5-cycle and every simple boundary cycle."""
+    """The inside flood holds exactly the darts of the faces that the
+    face-adjacency flood cannot reach from the outer face, and its outside
+    seed is a dart of the first cycle edge in a face it reaches, for every
+    4-/5-cycle and every simple boundary cycle."""
     checked = 0
     for g in instances.face_test_graphs():
-        cycles = instances.reference_small_cycles(g)
-        if g.boundary_walk.is_simple_cycle():
-            cycles.append(g.boundary_walk.vertices)
-        for cyc in cycles:
+        for cyc in _test_cycles(g):
             k = len(cyc)
             edges = {und(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
-            inside, outside = classify_darts_by_cycle(g, edges)
+            inside, seed = inside_darts(g, cyc)
             face_of, out_faces = instances.reference_outside_faces(g, edges)
-            assert inside | outside == set(face_of)
-            assert not inside & outside
-            for f, face in enumerate(g.faces):
-                assert set(face) <= (outside if f in out_faces else inside)
+            assert inside == {d for d, f in face_of.items() if f not in out_faces}
+            assert seed in ((cyc[0], cyc[1]), (cyc[1], cyc[0]))
+            assert face_of[seed] in out_faces
             checked += 1
     assert checked > 600
+
+
+def test_ext_and_sides_match_face_flood():
+    """Ext(C) is the piece of the whole-graph dart classification, and the
+    vertices off C in Int(C) and in Ext(C) are those all of whose faces the
+    face-adjacency flood does not reach and reaches, for every 4-/5-cycle
+    and every simple boundary cycle."""
+    checked = separating = 0
+    for g in instances.face_test_graphs():
+        for cyc in _test_cycles(g):
+            k = len(cyc)
+            edges = {und(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
+            ip, ep = int_ext_subgraphs(g, cyc)
+            assert _same_piece(ip, instances.reference_int_subgraph(g, cyc))
+            assert _same_piece(ep, instances.reference_ext_subgraph(g, cyc))
+            face_of, out_faces = instances.reference_outside_faces(g, edges)
+            off = [v for v in g.vertices() if v not in cyc]
+            inner = {v for v in off
+                     if all(face_of[(v, u)] not in out_faces for u in g.neighbors(v))}
+            outer = {v for v in off
+                     if all(face_of[(v, u)] in out_faces for u in g.neighbors(v))}
+            assert set(ip.to_parent) - set(cyc) == inner
+            assert set(ep.to_parent) - set(cyc) == outer
+            separating += bool(inner and outer)
+            checked += 1
+    assert checked > 600 and separating > 50
 
 
 def _same_piece(got, want):
