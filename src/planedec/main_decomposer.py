@@ -64,7 +64,17 @@ class CounterexampleError(DecomposeError):
 
 @dataclass
 class CaseTrace:
+    """The case ladder of one top-level call, and its table of solved
+    sub-configurations.
+
+    ``solved`` maps a key (rotation, outer edge, path, goal) to a verified
+    ``Decomposition`` and the entries its subtree appended; only
+    ``decompose_config`` reads or writes it (see there).  It lives exactly
+    as long as the trace, so nothing is remembered across top-level calls.
+    """
     entries: list[tuple[str, str]] = field(default_factory=list)
+    solved: dict[tuple, tuple[Decomposition, list[tuple[str, str]]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def add(self, label: str, detail: str = "") -> None:
         self.entries.append((label, detail))
@@ -172,18 +182,41 @@ def decompose_config(cfg: Configuration, goal: Goal,
 
     Passing a trace marks an internal recursive call; top-level calls also
     validate the input graph.
+
+    The trace's table ``solved`` holds each sub-configuration this call has
+    already solved, keyed by (rotation, outer edge, path, goal) both as
+    given, so that a hit skips ``oriented()``, and as oriented, so that a
+    configuration and its mirror image are dispatched once.  The output
+    depends on nothing else: a graph's cached facts, inherited or computed,
+    are the same either way, and the blocks are read only edge by edge.
+    Only a verified result is stored, with the trace entries its subtree
+    appended; a call that raises stores nothing, so every fallback
+    recomputes.  A hit appends the same entries through ``trace.add`` and
+    returns the same object, which was verified against this graph, path
+    and goal (a reflection keeps every vertex id).
     """
     if trace is None:
         trace = CaseTrace()
         rep = validate(cfg.graph)
         if not rep.ok:
             raise PlaneGraphError(f"invalid configuration graph: {rep.failures}")
-    cfg = cfg.oriented()
+    key = (cfg.graph.rotation, cfg.graph.outer, cfg.path, goal)
+    hit = trace.solved.get(key)
+    if hit is None:
+        cfg = cfg.oriented()
+        oriented_key = (cfg.graph.rotation, cfg.graph.outer, cfg.path, goal)
+        hit = trace.solved.get(oriented_key)
+    if hit is not None:
+        for entry in hit[1]:
+            trace.add(*entry)
+        return hit[0], trace
+    start = len(trace.entries)
     dec = _dispatch(cfg, goal, trace)
     rep = verify(cfg.graph, cfg.path, goal_spec(goal, cfg), dec)
     if not rep:
         raise CounterexampleError(
             cfg, f"assembled decomposition violates {goal}: {rep.clause}: {rep.detail}")
+    trace.solved[key] = trace.solved[oriented_key] = dec, trace.entries[start:]
     return dec, trace
 
 
@@ -1094,13 +1127,13 @@ def build_cstar(cfg: Configuration) -> list[int]:
     vs = walk.vertices
     k = len(vs)
     pos = walk.position
-    tch = two_chords(g)
+    tch = sorted(two_chords(g))
     seq = [y]
     cur = y
     while cur != x:
         best = None
         to_x = (pos[x] - pos[cur]) % k
-        for (a, m, b) in sorted(tch):
+        for (a, m, b) in tch:
             for (p, q) in ((a, b), (b, a)):
                 if p != cur or q in seq:
                     continue

@@ -66,7 +66,7 @@ class FaceWalk:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
@@ -78,9 +78,9 @@ class FaceWalk:
             return ()
         return tuple(zip(vs, vs[1:] + vs[:1]))
 
-    @property
+    @cached_property
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(und(u, v) for u, v in self.edges)
+        return frozenset((u, v) if u < v else (v, u) for u, v in self.edges)
 
     def is_simple_cycle(self) -> bool:
         return len(self) >= 3 and len(set(self.vertices)) == len(self.vertices)
@@ -186,7 +186,8 @@ class PlaneGraph:
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(und(v, u) for v in self.vertices() for u in self.neighbors(v))
+        return frozenset((v, u) if v < u else (u, v)
+                         for v in self.vertices() for u in self.neighbors(v))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PlaneGraph)
@@ -463,12 +464,19 @@ def validate(g: PlaneGraph) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def chords(g: PlaneGraph, walk: FaceWalk | None = None) -> set[Edge]:
-    """Non-walk edges joining two walk vertices."""
+    """Non-walk edges joining two walk vertices, read off the rotations of
+    the walk's vertices."""
     walk = walk or g.boundary_walk
     on_walk = walk.edge_set
     bset = walk.vertex_set
-    return {und(u, v) for u, v in g.edges
-            if u in bset and v in bset and und(u, v) not in on_walk}
+    out = set()
+    for v in bset:
+        for u in g.neighbors(v):
+            if u in bset:
+                e = (v, u) if v < u else (u, v)
+                if e not in on_walk:
+                    out.add(e)
+    return out
 
 
 def two_chords(g: PlaneGraph, walk: FaceWalk | None = None) -> set[tuple[int, int, int]]:

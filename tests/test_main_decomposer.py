@@ -9,8 +9,8 @@ import pytest
 from planedec import main_decomposer, plane_graph
 from planedec.config_algebra import Configuration
 from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
-                                    check_coloring, defective_coloring, verify,
-                                    verify_21)
+                                    VerifyReport, check_coloring,
+                                    defective_coloring, verify, verify_21)
 from planedec.main_decomposer import (CaseTrace, CounterexampleError,
                                       DecomposeError, PreconditionError,
                                       _balanced_chord, _claim1_peel,
@@ -677,3 +677,125 @@ def test_inherited_caches_match_fresh_graphs(monkeypatch):
         decompose_21(g)
     assert len(children) > 10_000
     assert [g for g in children if instances.stale_cache_entries(g)] == []
+
+
+# ---------------------------------------------------------------------------
+# the per-call table of solved sub-configurations
+# ---------------------------------------------------------------------------
+
+class _NeverStores(dict):
+    """A table that keeps nothing: every sub-configuration is solved anew."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def _forgetful_trace() -> CaseTrace:
+    trace = CaseTrace()
+    trace.solved = _NeverStores()
+    return trace
+
+
+def _table_inputs():
+    graphs = [instances.grid(2, 40), instances.grid(2, 130), instances.grid(3, 15),
+              instances.grid(8, 8), instances.grid(16, 16),
+              instances.nested_squares(20)]
+    graphs += [instances.bench_grid_subgraph(seed, k, share) for seed in (1, 2)
+               for k in range(5, 11) for share in (.1, .25, .4)]
+    runs = [lambda g=g: decompose_21(g) for g in graphs]
+    for g in enumerate_graphs(7):
+        for quad in enumerate_configurations(g):
+            for goal in applicable_goals(g, quad):
+                cfg = Configuration(g, quad)
+                runs.append(lambda cfg=cfg, goal=goal: decompose_config(cfg, goal))
+    return runs
+
+
+def _outputs(runs):
+    out = []
+    for run in runs:
+        try:
+            dec, trace = run()
+        except DecomposeError as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        out.append((sorted(dec.arcs), sorted(dec.matching), trace.entries))
+    return out
+
+
+def _dispatch_keys(monkeypatch) -> list:
+    keys = []
+    dispatch = main_decomposer._dispatch
+
+    def recorded(cfg, goal, trace):
+        keys.append((cfg.graph.rotation, cfg.graph.outer, cfg.path, goal))
+        return dispatch(cfg, goal, trace)
+
+    monkeypatch.setattr(main_decomposer, "_dispatch", recorded)
+    return keys
+
+
+def test_solved_table_changes_no_output(monkeypatch):
+    """Every output, with its case trace, is the same whether or not a call
+    reuses the sub-configurations it has already solved, and the table does
+    save dispatches."""
+    runs = _table_inputs()
+    keys = _dispatch_keys(monkeypatch)
+    with_table = _outputs(runs)
+    dispatched = len(keys)
+    monkeypatch.setattr(main_decomposer, "CaseTrace", _forgetful_trace)
+    without = _outputs(runs)
+    assert with_table == without
+    assert dispatched < len(keys) - dispatched
+
+
+@pytest.mark.parametrize("g", [instances.grid(2, 130), instances.grid(16, 16)],
+                         ids=["2x130", "16x16"])
+def test_each_sub_configuration_is_dispatched_once(monkeypatch, g):
+    keys = _dispatch_keys(monkeypatch)
+    decompose_21(g)
+    assert len(keys) == len(set(keys)) > 1
+
+
+def test_a_hit_replays_the_trace_and_returns_the_verified_object():
+    cfg = Configuration(*instances.claim9_instance())
+    trace = CaseTrace()
+    dec, _ = decompose_config(cfg, "M0", trace)
+    once = list(trace.entries)
+    again, _ = decompose_config(cfg, "M0", trace)
+    assert again is dec
+    assert trace.entries == once + once
+
+
+def test_the_table_tells_goals_and_outer_edges_apart():
+    """One trace, asked for every goal on every path, read either way, of
+    every face of the graphs with n <= 6 taken as the outer face, answers
+    each as a fresh call does.  A path lies on the faces either side of it,
+    so only the outer edge tells those configurations apart."""
+    cases = []
+    for g in enumerate_graphs(6):
+        for face in filter(None, g.faces):
+            h = PlaneGraph(g.rotation, face[0])
+            for quad in enumerate_configurations(h):
+                cases += [(Configuration(h, q), goal) for q in (quad, quad[::-1])
+                          for goal in applicable_goals(h, q)]
+    trace = CaseTrace()
+    shared = [decompose_config(cfg, goal, trace)[0] for cfg, goal in cases]
+    assert shared == [decompose_config(cfg, goal)[0] for cfg, goal in cases]
+
+
+def test_a_call_that_raises_stores_nothing(monkeypatch):
+    """A result that fails its verify is not kept; the verified results
+    below it are."""
+    g, path = instances.claim9_instance()
+    verify_ = main_decomposer.verify
+
+    def fails_at_full_size(h, *rest):
+        return VerifyReport(False, "test") if h.n == g.n else verify_(h, *rest)
+
+    monkeypatch.setattr(main_decomposer, "verify", fails_at_full_size)
+    trace = CaseTrace()
+    with pytest.raises(CounterexampleError):
+        decompose_config(Configuration(g, path), "M0", trace)
+    assert trace.solved
+    assert all(len(rotation) < g.n for rotation, *_ in trace.solved)
