@@ -8,18 +8,20 @@ to the recognised configuration.
 
 Configurations are treated up to reflection: a path given against the walk
 direction is read in the mirror embedding, which is also how the paper's
-reversed-path statements are interpreted here.
+reversed-path statements are interpreted here.  That choice is made once, when
+a Configuration is built: it is stored clockwise, its path running with its
+graph's boundary walk, so no consumer has to orient it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal
+from typing import Literal
 
 from .decomposition import check_config_path, path_orientation
 from .oracle import config_key
-from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
+from .plane_graph import (Piece, PlaneGraph, PlaneGraphError, chords,
                           cycle_graph, extract_piece, int_subgraph, und,
                           validate)
 
@@ -33,7 +35,9 @@ P_TAGS = ("P1", "P2", "P3")
 @dataclass(frozen=True)
 class Configuration:
     """A connected triangle-free plane graph with a boundary path of four
-    consecutive distinct walk vertices (in either walk direction)."""
+    consecutive distinct walk vertices, stored clockwise: a path given
+    against the walk direction is kept with the mirror embedding, in which
+    it runs with the walk (reflection keeps every vertex id)."""
 
     graph: PlaneGraph
     path: tuple[int, int, int, int]
@@ -42,57 +46,24 @@ class Configuration:
         err = check_config_path(self.graph, self.path)
         if err:
             raise PlaneGraphError(err)
-
-    @property
-    def w(self) -> int:
-        return self.path[0]
-
-    @property
-    def x(self) -> int:
-        return self.path[1]
-
-    @property
-    def y(self) -> int:
-        return self.path[2]
-
-    @property
-    def z(self) -> int:
-        return self.path[3]
+        if path_orientation(self.graph, self.path) < 0:
+            object.__setattr__(self, "graph", self.graph.reflect())
 
     @cached_property
     def key(self) -> bytes:
         return config_key(self.graph, self.path)
 
-    def oriented(self) -> "Configuration":
-        """The clockwise presentation (reflect the graph if needed)."""
-        if path_orientation(self.graph, self.path) > 0:
-            return self
-        return Configuration(self.graph.reflect(), self.path)
-
-    def center(self) -> Edge:
-        return und(self.path[1], self.path[2])
-
-    def validated(self) -> "Configuration":
-        rep = validate(self.graph)
-        if not rep.ok:
-            raise PlaneGraphError(f"invalid configuration graph: {rep.failures}")
-        return self
-
 
 def reverse_view(c: Configuration) -> Configuration:
     """(g, wxyz) -> (g~, z+ z y x): the shifted reversal used by the symmetry
     observation, presented in the mirror embedding."""
-    c = c.oriented()
-    g = c.graph
-    zp = g.boundary_succ(c.z)
-    return Configuration(g.reflect(), (zp, c.z, c.y, c.x))
+    _, x, y, z = c.path
+    return Configuration(c.graph.reflect(), (c.graph.boundary_succ(z), z, y, x))
 
 
 def full_reverse(c: Configuration) -> Configuration:
     """(g, wxyz) -> (g~, zyxw)."""
-    c = c.oriented()
-    return Configuration(c.graph.reflect(),
-                         (c.z, c.y, c.x, c.w))
+    return Configuration(c.graph.reflect(), c.path[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +87,12 @@ class Gluing:
 
 
 def combine(op: Op, c1: Configuration, c2: Configuration) -> Gluing:
-    """Glue two configurations; both are read in clockwise presentation.
+    """Glue two configurations (both stored clockwise).
 
     oplus identifies the right path's (x2, y2) with the left's (z1, y1) and
     yields path (w1, x1, y1, z2); ohat adds u adjacent to x1 and z2 and yields
     (w1, x1, u, z2); otilde adds adjacent u, v and yields (x1, u, v, z2).
     """
-    c1 = c1.oriented()
-    c2 = c2.oriented()
     g1, (w1, x1, y1, z1) = c1.graph, c1.path
     g2, (w2, x2, y2, z2) = c2.graph, c2.path
     n1 = g1.n
@@ -218,13 +187,6 @@ class Derivation:
     def in_Q(self) -> bool:
         return self.tag == "Q"
 
-    def walk(self) -> Iterator["Derivation"]:
-        yield self
-        if self.left:
-            yield from self.left.walk()
-        if self.right:
-            yield from self.right.walk()
-
     def replay(self) -> Configuration:
         """Recompose from the leaves; the result must equal config up to the
         recorded maps (checked), returning the recomposed configuration."""
@@ -295,7 +257,6 @@ def recognize(c: Configuration) -> Derivation | None:
     the chord must sit, is why the ohat and P2 probes test it for Q with
     _oplus_split alone rather than a nested recognize.
     """
-    c = c.oriented()
     for probe in (_match_leaf, _match_ohat, _match_p2, _match_q):
         d = probe(c)
         if d is not None:
@@ -351,7 +312,6 @@ def _oplus_split(c: Configuration, want_left: str):
     vertex ids, requiring recognize(A) in the want_left family ("R" or "P")
     and recognize(B) in R u Q.  None if no chord produces such a split.
     """
-    c = c.oriented()
     g = c.graph
     w, x, y, z = c.path
     walk = g.boundary_walk

@@ -215,9 +215,11 @@ def _is_window(walk: tuple[int, ...], t: tuple[int, ...]) -> bool:
 def check_config_path(g: PlaneGraph, path: Sequence[int]) -> str | None:
     """None if path is four consecutive distinct boundary-walk vertices.
 
-    Either walk direction is accepted (a counterclockwise path is the same
-    configuration seen in the mirror embedding).  Only the visits of the
-    path's end vertices are inspected, not every window of the walk.
+    Either walk direction is accepted: a counterclockwise path is the same
+    configuration seen in the mirror embedding, which is how
+    ``config_algebra.Configuration`` stores it (clockwise, the graph
+    reflected once).  Only the visits of the path's end vertices are
+    inspected, not every window of the walk.
     """
     if len(path) != 4 or len(set(path)) != 4:
         return f"path {tuple(path)} is not four distinct vertices"

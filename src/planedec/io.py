@@ -46,33 +46,36 @@ def _planar_code_order(data: bytes) -> tuple[int, str]:
     raise FormatError("missing >>planar_code<< header")
 
 
-def _parse_wide_record(data: bytes, pos: int, order: str
-                       ) -> tuple[list[tuple[int, ...]], int]:
-    """The rotation of one record in the large form, whose leading 0 byte
-    sits before pos: n and every entry as a 16-bit word.  Returns the
-    rotation and the position after the record."""
-    def word() -> int:
-        nonlocal pos
-        if pos + 2 > len(data):
-            raise FormatError(f"truncated record at vertex {len(rotation) + 1}")
-        pos += 2
-        return int.from_bytes(data[pos - 2:pos], order)
-
-    rotation: list[tuple[int, ...]] = []
-    n = word()
+def _parse_record(data: bytes, pos: int, width: int, order: str
+                  ) -> tuple[list[tuple[int, ...]], int]:
+    """The rotation of the record whose vertex count starts at pos, n and
+    every entry ``width`` bytes wide: 1 in the single-byte form, 2 in the
+    large form (whose leading 0 byte sits before pos), in the given byte
+    order.  Returns the rotation and the position after the record."""
+    view = memoryview(data)[pos:]
+    if width == 1:
+        entries = iter(view)
+    else:
+        fmt = "<H" if order == "little" else ">H"
+        entries = (w for (w,) in struct.iter_unpack(fmt, view[:len(view) // 2 * 2]))
+    n = next(entries, None)
+    if n is None:
+        raise FormatError("truncated record at vertex 1")
     if n == 0:
         raise FormatError("graph with zero vertices")
+    rotation: list[tuple[int, ...]] = []
     row: list[int] = []
-    while len(rotation) < n:
-        b = word()
+    for read, b in enumerate(entries, start=2):
         if b == 0:
             rotation.append(tuple(row))
+            if len(rotation) == n:
+                return rotation, pos + read * width
             row = []
         elif b > n:
             raise FormatError(f"neighbour index {b} out of range 1..{n}")
         else:
             row.append(b)
-    return rotation, pos
+    raise FormatError(f"truncated record at vertex {len(rotation) + 1}")
 
 
 def parse_planar_code(data: bytes, outer: tuple[int, int] | None = None
@@ -87,25 +90,8 @@ def parse_planar_code(data: bytes, outer: tuple[int, int] | None = None
     """
     pos, order = _planar_code_order(data)
     while pos < len(data):
-        n = data[pos]
-        pos += 1
-        if n == 0:
-            rotation, pos = _parse_wide_record(data, pos, order)
-        else:
-            rotation = []
-            for v in range(1, n + 1):
-                row = []
-                while True:
-                    if pos >= len(data):
-                        raise FormatError(f"truncated record at vertex {v}")
-                    b = data[pos]
-                    pos += 1
-                    if b == 0:
-                        break
-                    if b > n:
-                        raise FormatError(f"neighbour index {b} out of range 1..{n}")
-                    row.append(b)
-                rotation.append(tuple(row))
+        wide = data[pos] == 0  # the large form's leading 0 byte
+        rotation, pos = _parse_record(data, pos + wide, 2 if wide else 1, order)
         if outer is None:
             oe = (1, rotation[0][0]) if rotation[0] else (1, 1)
         else:

@@ -30,7 +30,8 @@ from typing import Collection, Iterable, Literal, Sequence
 
 from .config_algebra import Configuration, full_reverse, recognize
 from .decomposition import (ConstraintSpec, Decomposition,
-                            MatchedPartnerOnBoundary, und, verify, verify_21)
+                            MatchedPartnerOnBoundary, _block_outer_edge, und,
+                            verify, verify_21)
 from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
                           component_pieces, extract_piece, int_ext_subgraphs,
                           int_subgraph, light_peel, two_chords, validate)
@@ -67,7 +68,8 @@ class CaseTrace:
     """The case ladder of one top-level call, and its table of solved
     sub-configurations.
 
-    ``solved`` maps a key (rotation, outer edge, path, goal) to a verified
+    ``solved`` maps the key (rotation, outer edge, path, goal) of a
+    configuration, which is stored clockwise, to a verified
     ``Decomposition`` and the entries its subtree appended; only
     ``decompose_config`` reads or writes it (see there).  It lives exactly
     as long as the trace, so nothing is remembered across top-level calls.
@@ -184,16 +186,16 @@ def decompose_config(cfg: Configuration, goal: Goal,
     validate the input graph.
 
     The trace's table ``solved`` holds each sub-configuration this call has
-    already solved, keyed by (rotation, outer edge, path, goal) both as
-    given, so that a hit skips ``oriented()``, and as oriented, so that a
-    configuration and its mirror image are dispatched once.  The output
-    depends on nothing else: a graph's cached facts, inherited or computed,
-    are the same either way, and the blocks are read only edge by edge.
-    Only a verified result is stored, with the trace entries its subtree
-    appended; a call that raises stores nothing, so every fallback
-    recomputes.  A hit appends the same entries through ``trace.add`` and
-    returns the same object, which was verified against this graph, path
-    and goal (a reflection keeps every vertex id).
+    already solved, keyed by (rotation, outer edge, path, goal); as a
+    configuration is stored clockwise, a configuration and its mirror image
+    share a key and are dispatched once.  The output depends on nothing
+    else: a graph's cached facts, inherited or computed, are the same either
+    way, and the blocks are read only edge by edge.  Only a verified result
+    is stored, with the trace entries its subtree appended; a call that
+    raises stores nothing, so every fallback recomputes.  A hit appends the
+    same entries through ``trace.add`` and returns the same object, which
+    was verified against this graph, path and goal (and so against the
+    graph the caller gave: a reflection keeps every vertex id).
     """
     if trace is None:
         trace = CaseTrace()
@@ -202,10 +204,6 @@ def decompose_config(cfg: Configuration, goal: Goal,
             raise PlaneGraphError(f"invalid configuration graph: {rep.failures}")
     key = (cfg.graph.rotation, cfg.graph.outer, cfg.path, goal)
     hit = trace.solved.get(key)
-    if hit is None:
-        cfg = cfg.oriented()
-        oriented_key = (cfg.graph.rotation, cfg.graph.outer, cfg.path, goal)
-        hit = trace.solved.get(oriented_key)
     if hit is not None:
         for entry in hit[1]:
             trace.add(*entry)
@@ -216,7 +214,7 @@ def decompose_config(cfg: Configuration, goal: Goal,
     if not rep:
         raise CounterexampleError(
             cfg, f"assembled decomposition violates {goal}: {rep.clause}: {rep.detail}")
-    trace.solved[key] = trace.solved[oriented_key] = dec, trace.entries[start:]
+    trace.solved[key] = dec, trace.entries[start:]
     return dec, trace
 
 
@@ -418,7 +416,7 @@ def _bridge_piece_dec(piece: Piece, a: int, b: int,
     if len(hv) == 2:
         hdec = Decomposition.of()
     else:
-        hp = extract_piece(k, hv, outer_parent_edge=_walk_edge_within(k, hv, ca, cb))
+        hp = extract_piece(k, hv, outer_parent_edge=_block_outer_edge(k, hv))
         hdec = _solve(hp, walk_quad(hp, ca, cb), "M0", trace)
     parts = [hdec]
     arcs: list[Edge] = []
@@ -428,14 +426,6 @@ def _bridge_piece_dec(piece: Piece, a: int, b: int,
         parts.append(_bridge_piece_dec(bridge, u, v, trace))
         arcs.append((v, u))
     return piece.lift(parts[0].union(*parts[1:]).adjust(add_arcs=arcs))
-
-
-def _walk_edge_within(g: PlaneGraph, verts: frozenset[int], a: int, b: int) -> Edge:
-    """A directed edge of g's outer walk inside verts (fallback (a, b))."""
-    for (p, q) in g.faces[g.outer_face_id]:
-        if p in verts and q in verts:
-            return (p, q)
-    return (a, b)
 
 
 def _bridge_partner(piece: Piece, u: int) -> int:

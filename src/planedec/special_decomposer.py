@@ -38,7 +38,6 @@ class ClauseRequest:
     side: str | None = None
 
     def spec_for(self, cfg: Configuration) -> ConstraintSpec:
-        cfg = cfg.oriented()
         g = cfg.graph
         w, x, y, z = cfg.path
         conds: list[SideCondition] = []
@@ -86,7 +85,6 @@ def supported_clauses(tag: str) -> tuple[ClauseRequest, ...]:
 # ---------------------------------------------------------------------------
 
 def _r1_table(cfg: Configuration, req: ClauseRequest) -> Decomposition:
-    cfg = cfg.oriented()
     w, x, y, z = cfg.path
     key = (req.caps, req.side)
     table = {
@@ -105,7 +103,6 @@ def _r1_table(cfg: Configuration, req: ClauseRequest) -> Decomposition:
 
 
 def _p1_table(cfg: Configuration, req: ClauseRequest) -> Decomposition:
-    cfg = cfg.oriented()
     g = cfg.graph
     w, x, y, z = cfg.path
     v = g.boundary_succ(z)  # the fifth vertex; also the predecessor of w
@@ -235,7 +232,7 @@ def _left_1011_clause(left: Derivation) -> ClauseRequest:
 def decompose_special(d: Derivation, req: ClauseRequest) -> Decomposition:
     """A decomposition of d's configuration verifying the requested clause."""
     dec = _decompose_special(d, req)
-    cfg = d.config.oriented()
+    cfg = d.config
     rep = verify(cfg.graph, cfg.path, req.spec_for(cfg), dec)
     if not rep:
         raise PlaneGraphError(
@@ -335,8 +332,7 @@ def _reversed_1100(d: Derivation) -> Decomposition:
         sub = _decompose_special(rd, ClauseRequest("1001,1001", "zz+"))
     else:
         sub = _decompose_special(rd, ClauseRequest("1001,0001", "zz+"))
-    cfg = d.config.oriented()
-    w, x, y, z = cfg.path
+    w, x, y, z = d.config.path
     if (x, y) not in sub.arcs:
         raise PlaneGraphError("expected forced arc (x, y) in reversed decomposition")
     return sub.adjust(drop_arcs=[(x, y)], add_arcs=[(z, y)])
@@ -376,8 +372,7 @@ def _r2_0011(d: Derivation) -> Decomposition:
     """R2 in G(1001,0011)|yz in M: decompose the underlying oplus as a Q
     member of the graph minus y, match y to z, and cover the old centre edge
     into the (now interior) 4-face vertex."""
-    cfg = d.config.oriented()
-    w, x, y, z = cfg.path
+    w, x, y, z = d.config.path
     u4 = _corners(d)["y1"]  # fourth vertex of the face x-y-z-u, interior here
     qdec = _q_subnode_dec(d, ClauseRequest("1011,0000", "(z,y)"))
     return qdec.adjust(add_arcs=[(u4, x)], add_matching=[(y, z)])
@@ -429,9 +424,8 @@ def decompose_p2_shifted(d: Derivation) -> Decomposition:
     """
     if d.tag != "P2" or d.op != "otilde":
         raise UnsupportedClause("shifted construction applies to P2 members only")
-    cfg = d.config.oriented()
-    g = cfg.graph
-    w, x, y, z = cfg.path
+    g = d.config.graph
+    w, x, y, z = d.config.path
     u5 = d.left_map[d.left.config.path[2]]  # merged y1: the 5-face vertex
     qdec = _q_subnode_dec(d, ClauseRequest("1001,0011", "(z,y)"))
     dec = qdec.adjust(drop_arcs=[(z, u5)],

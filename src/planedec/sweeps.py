@@ -11,21 +11,17 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .config_algebra import Configuration, contains_special, PATTERNS
-from .decomposition import verify
+from .decomposition import relaxed_exempt_set, verify
 from .main_decomposer import (CaseTrace, Goal, decompose_21, decompose_config,
                               goal_spec)
 from .oracle import brute_force, enumerate_configurations, enumerate_graphs
 from .plane_graph import PlaneGraph, chords
-from .decomposition import block_of_center
 
 
 def m1_precondition(g: PlaneGraph, path: tuple[int, int, int, int]) -> bool:
-    """x or y is incident to a chord of the boundary of the centre block."""
-    piece = block_of_center(g, path)
-    h = piece.graph
-    cm = piece.child_of
-    centers = {cm[path[1]], cm[path[2]]}
-    return any(set(e) & centers for e in chords(h))
+    """x or y is incident to a chord of the boundary of the centre block,
+    that is, M1's exempt set is not empty."""
+    return bool(relaxed_exempt_set(g, path))
 
 
 def special_preconditions_testable(g: PlaneGraph,

@@ -5,6 +5,7 @@ import pytest
 from planedec.config_algebra import (Configuration, combine, contains_special,
                                      full_reverse, generate_family, leaf_p1,
                                      leaf_r1, recognize, reverse_view)
+from planedec.decomposition import path_orientation
 from planedec.oracle import (config_key, enumerate_configurations,
                              enumerate_graphs)
 from planedec.plane_graph import PlaneGraphError, cycle_graph, validate
@@ -139,6 +140,29 @@ def test_contains_special_requires_preconditions():
                       (1, 2))
     with pytest.raises(PlaneGraphError):
         contains_special(pend, "R(xyz)", (1, 2, 3, 4))
+
+
+def test_configurations_are_stored_clockwise():
+    """Every configuration with n <= 7, its path read either way, keeps a
+    graph whose boundary walk runs along the path, and building it on the
+    mirror embedding gives the same configuration.  A path the walk passes
+    both ways (around a tree, say) is clockwise in both embeddings, so each
+    keeps the graph it was given."""
+    paths = two_way = 0
+    for g in enumerate_graphs(7):
+        mirror = g.reflect()
+        for quad in enumerate_configurations(g):
+            for path in (quad, quad[::-1]):
+                cfg = Configuration(g, path)
+                other = Configuration(mirror, path)
+                assert path_orientation(cfg.graph, path) == 1
+                paths += 1
+                if path_orientation(g, path[::-1]) == 1 == path_orientation(g, path):
+                    two_way += 1
+                    assert (cfg.graph, other.graph) == (g, mirror)
+                else:
+                    assert cfg == other
+    assert (paths, two_way) == (1828, 64)
 
 
 def test_mirror_configs_share_keys():

@@ -757,6 +757,25 @@ def test_each_sub_configuration_is_dispatched_once(monkeypatch, g):
     assert len(keys) == len(set(keys)) > 1
 
 
+@pytest.mark.parametrize("g", [instances.grid(2, 130), instances.grid(16, 16)],
+                         ids=["2x130", "16x16"])
+def test_each_solved_configuration_is_stored_once(monkeypatch, g):
+    """The table holds one entry per dispatch that returned: a solved
+    configuration is stored under one key, not once more as its mirror."""
+    returned = 0
+    dispatch = main_decomposer._dispatch
+
+    def counted(cfg, goal, trace):
+        nonlocal returned
+        dec = dispatch(cfg, goal, trace)
+        returned += 1
+        return dec
+
+    monkeypatch.setattr(main_decomposer, "_dispatch", counted)
+    _, trace = decompose_21(g)
+    assert len(trace.solved) == returned > 1
+
+
 def test_a_hit_replays_the_trace_and_returns_the_verified_object():
     cfg = Configuration(*instances.claim9_instance())
     trace = CaseTrace()

@@ -133,7 +133,7 @@ def test_reverse_member_serves_the_reversed_clause():
     from planedec.special_decomposer import G_TILDE
     checks = 0
     for d in generate_family(12):
-        fwd = d.config.oriented()
+        fwd = d.config
         dr = recognize(full_reverse(fwd))
         if dr is None:
             continue
