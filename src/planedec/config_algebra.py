@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
-from .decomposition import check_config_path, path_orientation
+from .decomposition import check_and_orient
 from .oracle import config_key
-from .plane_graph import (Piece, PlaneGraph, PlaneGraphError, chords,
-                          cycle_graph, extract_piece, int_subgraph, und,
-                          validate)
+from .plane_graph import (Piece, PlaneGraph, PlaneGraphError, cycle_graph,
+                          extract_piece, int_subgraph, und, validate)
 
 Op = Literal["oplus", "ohat", "otilde"]
 FamilyTag = Literal["R1", "R2", "Q", "P1", "P2", "P3"]
@@ -43,10 +42,10 @@ class Configuration:
     path: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        err = check_config_path(self.graph, self.path)
+        err, direction = check_and_orient(self.graph, self.path)
         if err:
             raise PlaneGraphError(err)
-        if path_orientation(self.graph, self.path) < 0:
+        if direction < 0:
             object.__setattr__(self, "graph", self.graph.reflect())
 
     @cached_property
@@ -262,6 +261,29 @@ def recognize(c: Configuration) -> Derivation | None:
         if d is not None:
             return d
     return None
+
+
+def recognize_reversed(c: Configuration) -> Derivation | None:
+    """``recognize(full_reverse(c))``, with no mirror built when it cannot
+    match.
+
+    The reversed path is (z, y, x, w), so its third vertex is c's x.  Every
+    probe but the leaf, a bare 4- or 5-cycle (n <= 5), needs that vertex to
+    have degree 2 (``_match_ohat`` and ``_match_p2``, through
+    ``_deg2_inner_face``) or to meet a chord of the boundary (``_match_q``,
+    whose ``_oplus_split`` splits along such a chord).  Reflection keeps
+    the degrees, the boundary's vertices and edges and so its chords.  So
+    with n > 5, x of degree other than 2 and no chord at x, the answer is
+    None, read off c's own graph.
+    """
+    g = c.graph
+    x = c.path[1]
+    if g.n > 5 and g.degree(x) != 2:
+        walk = g.boundary_walk
+        if not any(t in walk.vertex_set and und(x, t) not in walk.edge_set
+                   for t in g.neighbors(x)):
+            return None
+    return recognize(full_reverse(c))
 
 
 def _match_leaf(c: Configuration) -> Derivation | None:
@@ -568,7 +590,7 @@ def contains_special(g: PlaneGraph, pattern: str,
     walk = g.boundary_walk
     if not walk.is_simple_cycle():
         raise PlaneGraphError("containment test requires a 2-connected graph")
-    if chords(g, walk):
+    if g.boundary_chords:
         raise PlaneGraphError("containment test requires a chordless boundary")
     if g.separating_small_cycle is not None:
         raise PlaneGraphError("containment test requires no separating 4-/5-cycles")

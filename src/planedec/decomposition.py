@@ -9,12 +9,11 @@ the path's centre edge), and ``verify_21`` checks the whole-graph notion.
 
 from __future__ import annotations
 
-import graphlib
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .plane_graph import Edge, PlaneGraph, PlaneGraphError, chords, extract_piece, und
+from .plane_graph import Edge, PlaneGraph, PlaneGraphError, extract_piece, und
 
 
 # ---------------------------------------------------------------------------
@@ -181,35 +180,75 @@ def _fail(clause: str, detail: str) -> VerifyReport:
 
 def _partition_failure(dec: Decomposition, want: AbstractSet[Edge]) -> VerifyReport | None:
     """The failed report when the arcs and the matching do not cover the
-    edges in want exactly once each; None when they do."""
+    edges in want exactly once each; None when they do.  The set of covered
+    edges decides, its size telling whether one was covered twice; the list
+    of them is built only to report a failure."""
+    once = {(u, v) if u < v else (v, u) for u, v in dec.arcs}
+    once |= dec.matching
+    if len(once) == len(dec.arcs) + len(dec.matching) and once == want:
+        return None
     got = dec.covered_edges()
-    once = set(got)
     if len(once) != len(got):
         dup = sorted(e for e, c in Counter(got).items() if c > 1)
         return _fail("partition", f"edges covered twice: {dup}")
-    if once != want:
-        return _fail("partition",
-                     f"missing={sorted(want - once)} extra={sorted(once - want)}")
-    return None
+    return _fail("partition",
+                 f"missing={sorted(want - once)} extra={sorted(once - want)}")
+
+
+def _acyclic(arcs: AbstractSet[Edge], outdeg: Mapping[int, int]) -> bool:
+    """Whether the arcs hold no directed cycle: sinks are peeled off (Kahn)
+    until every arc is gone or none is left to peel.  outdeg maps each tail
+    to its out-degree; it is not changed."""
+    left = dict(outdeg)
+    preds: defaultdict[int, list[int]] = defaultdict(list)
+    for a, b in arcs:
+        preds[b].append(a)
+    sinks = [b for b in preds if b not in left]
+    unpeeled = len(arcs)
+    for v in sinks:  # grows as vertices become sinks
+        for a in preds.get(v, ()):
+            unpeeled -= 1
+            d = left[a] - 1
+            left[a] = d
+            if not d:
+                sinks.append(a)
+    return not unpeeled
 
 
 # ---------------------------------------------------------------------------
 # configuration path helpers
 # ---------------------------------------------------------------------------
 
-def _is_window(walk: tuple[int, ...], t: tuple[int, ...]) -> bool:
-    """Whether t is four consecutive vertices of the closed walk (wrapping
-    around), found by ``tuple.index`` over the visits of t's first vertex."""
+def _walk_direction(walk: tuple[int, ...], t: tuple[int, ...]) -> int:
+    """+1 if t is four consecutive vertices of the closed walk (wrapping
+    around), else -1 if t read backwards is, else 0.  One scan over the
+    visits of t's first vertex, found by ``tuple.index``: t runs forwards
+    from such a visit, or backwards into it."""
     if len(t) != 4:
-        return False
+        return 0
     k = len(walk)
+    a, b, c, d = t
+    found = 0
     i = -1
-    for _ in range(walk.count(t[0])):
-        i = walk.index(t[0], i + 1)
-        if (walk[(i + 1) % k] == t[1] and walk[(i + 2) % k] == t[2]
-                and walk[(i + 3) % k] == t[3]):
-            return True
-    return False
+    for _ in range(walk.count(a)):
+        i = walk.index(a, i + 1)
+        if walk[(i + 1) % k] == b and walk[(i + 2) % k] == c and walk[(i + 3) % k] == d:
+            return 1
+        if walk[(i - 1) % k] == b and walk[(i - 2) % k] == c and walk[(i - 3) % k] == d:
+            found = -1
+    return found
+
+
+def check_and_orient(g: PlaneGraph, path: Sequence[int]) -> tuple[str | None, int]:
+    """(``check_config_path``, the path's direction) from one scan: the
+    direction is ``path_orientation``'s, or 0 when the check fails."""
+    t = tuple(path)
+    if len(t) != 4 or len(set(t)) != 4:
+        return f"path {t} is not four distinct vertices", 0
+    d = _walk_direction(g.boundary_walk.vertices, t)
+    if d:
+        return None, d
+    return f"path {t} is not consecutive on the boundary walk", 0
 
 
 def check_config_path(g: PlaneGraph, path: Sequence[int]) -> str | None:
@@ -218,27 +257,19 @@ def check_config_path(g: PlaneGraph, path: Sequence[int]) -> str | None:
     Either walk direction is accepted: a counterclockwise path is the same
     configuration seen in the mirror embedding, which is how
     ``config_algebra.Configuration`` stores it (clockwise, the graph
-    reflected once).  Only the visits of the path's end vertices are
+    reflected once).  Only the visits of the path's first vertex are
     inspected, not every window of the walk.
     """
-    if len(path) != 4 or len(set(path)) != 4:
-        return f"path {tuple(path)} is not four distinct vertices"
-    walk = g.boundary_walk.vertices
-    t = tuple(path)
-    if _is_window(walk, t) or _is_window(walk, t[::-1]):
-        return None
-    return f"path {t} is not consecutive on the boundary walk"
+    return check_and_orient(g, path)[0]
 
 
 def path_orientation(g: PlaneGraph, path: Sequence[int]) -> int:
     """+1 if the path follows the outer trace direction, -1 if reversed
     (checked in that order)."""
-    walk = g.boundary_walk.vertices
     t = tuple(path)
-    if _is_window(walk, t):
-        return 1
-    if _is_window(walk, t[::-1]):
-        return -1
+    d = _walk_direction(g.boundary_walk.vertices, t)
+    if d:
+        return d
     raise PlaneGraphError(f"path {t} not on boundary walk")
 
 
@@ -263,19 +294,27 @@ def _block_outer_edge(g: PlaneGraph, verts: frozenset[int]) -> Edge:
 
 def relaxed_exempt_set(g: PlaneGraph, path: Sequence[int]) -> set[int]:
     """T_H({v2, v3}): chord neighbours of the centre vertices in the block H
-    containing the centre edge, chords read on H's own boundary."""
+    containing the centre edge, chords read on H's own boundary.  When g is
+    2-connected, H is g, with g's boundary and chords, and nothing is
+    copied."""
+    centers = {path[1], path[2]}
+    if g.is_two_connected():
+        return _chord_neighbours(g.boundary_chords, centers)
     piece = block_of_center(g, path)
-    h = piece.graph
     cm = piece.child_of
-    ch = chords(h)
-    exempt: set[int] = set()
-    centers = {cm[path[1]], cm[path[2]]}
+    near = _chord_neighbours(piece.graph.boundary_chords, {cm[p] for p in centers})
+    return {piece.parent_of(v) for v in near}
+
+
+def _chord_neighbours(ch: Iterable[Edge], centers: AbstractSet[int]) -> set[int]:
+    """The other end of every chord in ch at a vertex of centers."""
+    out: set[int] = set()
     for u, v in ch:
         if u in centers:
-            exempt.add(piece.parent_of(v))
+            out.add(v)
         if v in centers:
-            exempt.add(piece.parent_of(u))
-    return exempt
+            out.add(u)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +343,12 @@ def verify(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
         partner[u] = v
         partner[v] = u
 
-    # (c) acyclicity
-    cyc = dec.find_cycle()
-    if cyc:
-        return _fail("acyclic", f"directed cycle {cyc}")
+    # (c) acyclicity; the DFS runs only to name a cycle
+    outdeg = Counter(a for a, _ in dec.arcs)
+    if not _acyclic(dec.arcs, outdeg):
+        return _fail("acyclic", f"directed cycle {dec.find_cycle()}")
 
     # (d) global out-degree cap
-    outdeg: dict[int, int] = {}
-    for a, _ in dec.arcs:
-        outdeg[a] = outdeg.get(a, 0) + 1
     for v, d in outdeg.items():
         if d > 2:
             return _fail("outdeg", f"out-degree {d} at {v}")
@@ -357,12 +393,9 @@ def verify_21(g: PlaneGraph, dec: Decomposition) -> VerifyReport:
         if u in touched or v in touched:
             return _fail("matching", f"vertex covered twice by M near {u}-{v}")
         touched.update((u, v))
-    cyc = dec.find_cycle()
-    if cyc:
-        return _fail("acyclic", f"directed cycle {cyc}")
-    outdeg = [0] * (g.n + 1)
-    for a, _ in dec.arcs:
-        outdeg[a] += 1
+    outdeg = Counter(a for a, _ in dec.arcs)
+    if not _acyclic(dec.arcs, outdeg):
+        return _fail("acyclic", f"directed cycle {dec.find_cycle()}")
     for v in g.vertices():
         if outdeg[v] > 2:
             return _fail("outdeg", f"out-degree {outdeg[v]} at {v}")
@@ -377,25 +410,31 @@ def degeneracy_order(dec: Decomposition, vertices: Iterable[int]) -> list[int]:
     """Order in which every vertex's out-neighbours appear earlier.
 
     This is a topological order of the reversed arc digraph; eliminating from
-    the end, each vertex sees at most two earlier (= out-) neighbours.
+    the end, each vertex sees at most two earlier (= out-) neighbours.  Sinks
+    are peeled in layers, each layer sorted: first the vertices without an
+    out-arc, then those whose out-neighbours all lie in earlier layers.
     """
-    succ: dict[int, list[int]] = {v: [] for v in vertices}
+    left: dict[int, int] = {v: 0 for v in vertices}  # out-arcs not yet peeled
+    preds: defaultdict[int, list[int]] = defaultdict(list)
     for a, b in dec.arcs:
-        succ.setdefault(a, []).append(b)
-        succ.setdefault(b, [])
-    # TopologicalSorter(preds) emits nodes whose predecessors are done; feed
-    # arcs as predecessors so out-neighbours come first.
-    ts = graphlib.TopologicalSorter({v: sorted(ws) for v, ws in succ.items()})
-    try:
-        order = []
-        ts.prepare()
-        while ts.is_active():
-            batch = sorted(ts.get_ready())
-            order.extend(batch)
-            ts.done(*batch)
-        return order
-    except graphlib.CycleError as exc:  # pragma: no cover - guarded by verify
-        raise ValueError(f"arc digraph is cyclic: {exc}") from exc
+        left[a] = left.get(a, 0) + 1
+        left.setdefault(b, 0)
+        preds[b].append(a)
+    order: list[int] = []
+    layer = sorted(v for v, d in left.items() if not d)
+    while layer:
+        order.extend(layer)
+        nxt = []
+        for v in layer:
+            for a in preds.get(v, ()):
+                left[a] -= 1
+                if not left[a]:
+                    nxt.append(a)
+        layer = sorted(nxt)
+    if len(order) != len(left):
+        raise ValueError("arc digraph is cyclic: "
+                         f"{len(left) - len(order)} vertices never become sinks")
+    return order
 
 
 def defective_coloring(g: PlaneGraph, dec: Decomposition) -> dict[int, int]:

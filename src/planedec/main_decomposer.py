@@ -23,18 +23,18 @@ Goals:
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Literal, Sequence
 
-from .config_algebra import Configuration, full_reverse, recognize
+from .config_algebra import (Configuration, Derivation, full_reverse,
+                             recognize, recognize_reversed)
 from .decomposition import (ConstraintSpec, Decomposition,
                             MatchedPartnerOnBoundary, _block_outer_edge, und,
                             verify, verify_21)
-from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError, chords,
+from .plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError,
                           component_pieces, extract_piece, int_ext_subgraphs,
-                          int_subgraph, light_peel, two_chords, validate)
+                          int_subgraph, light_peel, validate)
 from .special_decomposer import ClauseRequest, decompose_special, \
     decompose_p2_shifted
 from .tiny_search import tiny_search
@@ -65,17 +65,24 @@ class CounterexampleError(DecomposeError):
 
 @dataclass
 class CaseTrace:
-    """The case ladder of one top-level call, and its table of solved
-    sub-configurations.
+    """The case ladder of one top-level call, and its tables of solved and
+    of recognized sub-configurations.
 
     ``solved`` maps the key (rotation, outer edge, path, goal) of a
     configuration, which is stored clockwise, to a verified
     ``Decomposition`` and the entries its subtree appended; only
-    ``decompose_config`` reads or writes it (see there).  It lives exactly
-    as long as the trace, so nothing is remembered across top-level calls.
+    ``decompose_config`` reads or writes it (see there).  ``recognized``
+    maps (rotation, outer edge, path, reversed) to the ``Derivation``, or
+    None, that ``recognize`` gives the configuration, or ``recognize_reversed``
+    when reversed is set; only ``_recognize`` reads or writes it.  A
+    reversed verdict is stored under the unreflected key, so a hit builds no
+    mirror.  Both tables live exactly as long as the trace, so nothing is
+    remembered across top-level calls.
     """
     entries: list[tuple[str, str]] = field(default_factory=list)
     solved: dict[tuple, tuple[Decomposition, list[tuple[str, str]]]] = field(
+        default_factory=dict, repr=False, compare=False)
+    recognized: dict[tuple, Derivation | None] = field(
         default_factory=dict, repr=False, compare=False)
 
     def add(self, label: str, detail: str = "") -> None:
@@ -237,11 +244,25 @@ def _solve(piece: Piece, path: Sequence[int], goal: Goal, trace: CaseTrace
     return piece.lift(dec)
 
 
+def _recognize(c: Configuration, trace: CaseTrace, reverse: bool = False
+               ) -> Derivation | None:
+    """``recognize(c)``, or ``recognize_reversed(c)`` with reverse set, read
+    from the call's table when this call has asked it before.  A verdict
+    depends only on the key (rotation, outer edge, path), so a hit returns
+    what a new recognition would."""
+    key = (c.graph.rotation, c.graph.outer, c.path, reverse)
+    if key in trace.recognized:
+        return trace.recognized[key]
+    d = recognize_reversed(c) if reverse else recognize(c)
+    trace.recognized[key] = d
+    return d
+
+
 def _centre_chord(piece: Piece, x: int, y: int) -> bool:
     """Whether a chord of the piece's boundary meets x or y (parent ids)."""
     tp = piece.to_parent
     return any(tp[a - 1] in (x, y) or tp[b - 1] in (x, y)
-               for a, b in chords(piece.graph))
+               for a, b in piece.graph.boundary_chords)
 
 
 def _special_or_m2(piece: Piece, path: Sequence[int], caps: str, label: str,
@@ -252,9 +273,9 @@ def _special_or_m2(piece: Piece, path: Sequence[int], caps: str, label: str,
     read backwards serves; otherwise goal M2 gives (1001,0000), within any
     G~ clause."""
     sub = _sub_config(piece, path)
-    d = recognize(sub)
+    d = _recognize(sub, trace)
     if d is None:
-        d = recognize(full_reverse(sub))
+        d = _recognize(sub, trace, reverse=True)
         caps = ",".join(half[::-1] for half in caps.split(","))
     if d is None:
         return piece.lift(_recurse(sub, "M2", trace))
@@ -330,7 +351,7 @@ def _dispatch(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition
         return _claim3_boundary_c5(cfg, goal, trace)
 
     # Claim 4: boundary chords
-    if chords(g):
+    if g.boundary_chords:
         trace.add("Claim4")
         return _claim4(cfg, goal, trace)
 
@@ -648,7 +669,7 @@ def _claim4(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
     """
     g = cfg.graph
     w, x, y, z = cfg.path
-    ch = sorted(chords(g))
+    ch = sorted(g.boundary_chords)
     avoid = [e for e in ch if not set(e) & {x, y}]
     if avoid:
         u, v = _balanced_chord(g, avoid)
@@ -756,7 +777,7 @@ def _case2_m3(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         raise CounterexampleError(cfg, "claim 4 reached without chords at x or y")
     g1p, g2p, t = pieces
     sub2 = _sub_config(g2p, (g2p.pred(t), t, y, z))
-    d2r = recognize(sub2)
+    d2r = _recognize(sub2, trace)
     if d2r is None or not d2r.in_R():
         d2 = g2p.lift(_recurse(sub2, "M3", trace))
         d1 = _solve(g1p, (w, x, y, t), "M0", trace)
@@ -764,7 +785,7 @@ def _case2_m3(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     # the z side is an R-configuration: take its (1001,1100)-decomposition
     trace.add("SpecialFamily", f"claim4-M3 {d2r.tag}")
     d2 = g2p.lift(decompose_special(d2r, ClauseRequest("1001,1100")))
-    d1r = recognize(_sub_config(g1p, (t, y, x, w)))
+    d1r = _recognize(_sub_config(g1p, (t, y, x, w)), trace)
     if d1r is not None and d1r.tag in ("R2", "P1", "P2", "P3"):
         d1 = g1p.lift(decompose_special(d1r, ClauseRequest("1001,0001", "zz+")))
         return d1.union(d2)
@@ -779,8 +800,8 @@ def _case2_m3(cfg: Configuration, trace: CaseTrace) -> Decomposition:
 def _claim5(cfg: Configuration, goal: Goal, trace: CaseTrace
             ) -> Decomposition | None:
     g = cfg.graph
-    df = recognize(cfg)
-    dr = recognize(full_reverse(cfg))
+    df = _recognize(cfg, trace)
+    dr = _recognize(cfg, trace, reverse=True)
     f_in_R = df is not None and df.in_R()
     f_in_P = df is not None and df.in_P()
     r_in_R = dr is not None and dr.in_R()
@@ -828,7 +849,7 @@ def resolve_two_chords(cfg: Configuration, trace: CaseTrace
     """Claims 6 and 7; returns None when no relevant 2-chord exists."""
     g = cfg.graph
     w, x, y, z = cfg.path
-    tch = two_chords(g)
+    tch = g.boundary_two_chords
     wuz = sorted(m for (a, m, b) in tch if {a, b} == {w, z})
     if wuz:
         trace.add("Claim6")
@@ -861,14 +882,14 @@ def _fan(g: PlaneGraph, u: int, start: int) -> list[int]:
     return sorted(nbrs, key=lambda q: (pos[q] - pos[start]) % k)
 
 
-def _first_non_r(g: PlaneGraph, u: int, fan: list[int]
+def _first_non_r(g: PlaneGraph, u: int, fan: list[int], trace: CaseTrace
                  ) -> tuple[int, Piece, Configuration] | None:
     """The first fan piece Int(B[x_i, x_i+1] + u) whose configuration
     (x_i+, x_i, u, x_i+1) is not an R member: (i, piece, configuration)."""
     for i in range(len(fan) - 1):
         piece = _region(g, fan[i], fan[i + 1], u)
         sub = _sub_config(piece, (g.boundary_succ(fan[i]), fan[i], u, fan[i + 1]))
-        d = recognize(sub)
+        d = _recognize(sub, trace)
         if d is None or not d.in_R():
             return i, piece, sub
     return None
@@ -881,7 +902,7 @@ def _claim6(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
         raise CounterexampleError(cfg, "claim 6 with busy centre vertices")
     fan = _fan(g, u, z)
     assert fan[0] == z and fan[-1] == w, "wuz fan must run from z to w"
-    found = _first_non_r(g, u, fan)
+    found = _first_non_r(g, u, fan, trace)
     if found is None:
         raise CounterexampleError(cfg, "every wuz fan piece is an R-configuration")
     i, piece, sub = found
@@ -905,7 +926,7 @@ def _claim7(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     """2-chord at y (the mirrored call handles x)."""
     g = cfg.graph
     w, x, y, z = cfg.path
-    mids = sorted({m for (a, m, b) in two_chords(g) if y in (a, b)})
+    mids = sorted({m for (a, m, b) in g.boundary_two_chords if y in (a, b)})
     walk = g.boundary_walk
 
     # sub-case A across all 2-chord middles: some bottom fan piece is not R
@@ -914,7 +935,7 @@ def _claim7(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         fan = _fan(g, u, y)
         assert fan[0] == y
         fans[u] = fan
-        found = _first_non_r(g, u, fan)
+        found = _first_non_r(g, u, fan, trace)
         if found is not None:
             return _claim7_split(cfg, u, fan, found, trace)
     # sub-case B: every piece of every fan is an R-configuration
@@ -976,8 +997,9 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
     piece = extract_piece(g, keep, outer_parent_edge=(w, x))
     gg = piece.graph
     sub = _sub_config(piece, (w, x, u, z))
-    if not chords(gg):
-        if recognize(sub) is None and recognize(full_reverse(sub)) is None:
+    if not gg.boundary_chords:
+        if (_recognize(sub, trace) is None
+                and _recognize(sub, trace, reverse=True) is None):
             dprime = piece.lift(_recurse(sub, "M2", trace))
             if (z, u) not in dprime.arcs:
                 raise CounterexampleError(cfg, "missing forced arc (z, u)")
@@ -993,11 +1015,11 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
 def _claim7_g0(sub: Configuration, trace: CaseTrace) -> Decomposition:
     """The fan piece at the z end: a decomposition with the first path vertex
     unmatched and pointing only at the second (the goal's z-side caps)."""
-    df = recognize(sub)
+    df = _recognize(sub, trace)
     if df is not None and df.in_P():
         trace.add("SpecialFamily", f"claim7 g0 {df.tag}")
         return decompose_special(df, ClauseRequest("1001,0001", "zz+"))
-    dr = recognize(full_reverse(sub))
+    dr = _recognize(sub, trace, reverse=True)
     if dr is not None and dr.in_R():
         trace.add("SpecialFamily", f"claim7 g0 {dr.tag}")
         return decompose_special(dr, ClauseRequest("1001,1100"))
@@ -1014,8 +1036,8 @@ def _claim7_p2_shifted(cfg: Configuration, u: int, trace: CaseTrace
     g = cfg.graph
     w, x, y, z = cfg.path
     wm = g.boundary_pred(w)
-    rev = Configuration(g.reflect(), (y, x, w, wm))
-    d = recognize(rev)
+    # (y, x, w, w-) read in the mirror: (w-, w, x, y) reversed
+    d = _recognize(Configuration(g, (wm, w, x, y)), trace, reverse=True)
     if d is None or d.tag != "P2":
         raise CounterexampleError(cfg, "expected a P2 member in claim 7")
     return decompose_p2_shifted(d)
@@ -1030,7 +1052,7 @@ def _claim7_top(cfg: Configuration, u: int, fan: list[int], trace: CaseTrace
     # bottom: the whole fan region on the path (z, y, u, x_r): a chain of the
     # R pieces, so a Q member for r >= 2 and an R member for r = 1
     wp = _region(g, y, xr, u)
-    qd = recognize(_sub_config(wp, (g.boundary_succ(y), y, u, xr)))
+    qd = _recognize(_sub_config(wp, (g.boundary_succ(y), y, u, xr)), trace)
     if qd is None or qd.in_P():
         raise CounterexampleError(cfg, "fan union is not an R/Q member")
     if qd.in_Q():
@@ -1098,7 +1120,7 @@ def _dedup_shared_edge(primary: Decomposition, secondary: Decomposition,
 
 
 def _claim7_top_0001(sub: Configuration, trace: CaseTrace) -> Decomposition:
-    df = recognize(sub)
+    df = _recognize(sub, trace)
     if df is not None and df.tag in ("R2", "P2", "P3"):
         trace.add("SpecialFamily", f"claim7 {df.tag}")
         return decompose_special(df, ClauseRequest("1001,0001", "zz+"))
@@ -1117,7 +1139,7 @@ def build_cstar(cfg: Configuration) -> list[int]:
     vs = walk.vertices
     k = len(vs)
     pos = walk.position
-    tch = sorted(two_chords(g))
+    tch = sorted(g.boundary_two_chords)
     seq = [y]
     cur = y
     while cur != x:
@@ -1155,13 +1177,10 @@ def cstar_finish(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         trace.add("Claim8")
         return _claim8(cfg, trace)
     # Claim 9: a chord of C*
-    for i, j in itertools.combinations(range(s), 2):
-        a, b = seq[i], seq[j]
-        if j - i >= 2 and not (i == 0 and j == s - 1) and g.has_edge(a, b):
-            if a in boundary or b in boundary:
-                continue
-            trace.add("Claim9")
-            return _claim9(cfg, seq, i, j, trace)
+    chord = _cstar_chord(g, seq, interior_ws)
+    if chord is not None:
+        trace.add("Claim9")
+        return _claim9(cfg, seq, *chord, trace)
     # Claim 10: interior milestones with a long boundary run between
     for ii, jj in zip(interior_ws, interior_ws[1:]):
         if jj > ii + 2:
@@ -1179,6 +1198,24 @@ def cstar_finish(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         return _claim11(mirror, mseq, mfirst, trace)
     trace.add("Final")
     return _final_construction(cfg, seq, trace)
+
+
+def _cstar_chord(g: PlaneGraph, seq: list[int], interior: list[int]
+                 ) -> tuple[int, int] | None:
+    """Claim 9's chord of C* = seq: the positions (i, j), j >= i + 2, of two
+    adjacent interior milestones, the least i first and then the least j;
+    None if there is none.  Each interior milestone's neighbours are looked
+    up in a map from interior milestone to its positions, so no pair of
+    positions is tried.  (seq[0] = y lies on the boundary, so the pair of
+    C*'s first and last position, one edge of C*, is never a candidate.)"""
+    at: dict[int, list[int]] = {}
+    for j in interior:
+        at.setdefault(seq[j], []).append(j)
+    for i in interior:
+        js = [j for q in g.neighbors(seq[i]) for j in at.get(q, ()) if j >= i + 2]
+        if js:
+            return i, min(js)
+    return None
 
 
 def _anchored_m0(cfg: Configuration, piece: Piece, trace: CaseTrace
@@ -1384,7 +1421,7 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
         raise CounterexampleError(cfg, "w3 cannot point at z in the final step")
     # G3 towards (z+ z w3 w4), needs (1011,1000)
     sub3 = _sub_config(g3, (g.boundary_succ(z), z, w3, w4))
-    d3r = recognize(sub3)
+    d3r = _recognize(sub3, trace)
     if d3r is not None and d3r.in_R():
         trace.add("SpecialFamily", f"final {d3r.tag}")
         d3 = g3.lift(decompose_special(d3r, ClauseRequest("1011,0000")))

@@ -23,8 +23,9 @@ its parent already knows, wherever the parent has computed it:
 - Int(C) of a 2-connected graph is 2-connected: whatever a cut vertex of
   Int(C) cuts off lies inside C, so it would cut the parent too.  A plain
   piece may fall apart and inherits nothing of this;
-- a mirror has its parent's edges, components, blocks and small cycles,
-  and its boundary walk is the parent's read backwards from the outer edge.
+- a mirror has its parent's edges, components, blocks, small cycles and
+  boundary chords and 2-chords, and its boundary walk is the parent's read
+  backwards from the outer edge.
 
 One flood answers every question of which side of a cycle C something lies
 on: ``inside_darts`` floods the inside of C only, and Int(C), Ext(C) and the
@@ -255,6 +256,16 @@ class PlaneGraph:
         return self.boundary_walk.is_simple_cycle()
 
     @cached_property
+    def boundary_chords(self) -> frozenset[Edge]:
+        """``chords`` of the boundary walk, computed once per graph."""
+        return frozenset(chords(self))
+
+    @cached_property
+    def boundary_two_chords(self) -> frozenset[tuple[int, int, int]]:
+        """``two_chords`` of the boundary walk, computed once per graph."""
+        return frozenset(two_chords(self))
+
+    @cached_property
     def _boundary_maps(self) -> tuple[dict[int, int], dict[int, int]]:
         """(successor, predecessor) along the boundary cycle.  A boundary
         that is not a simple cycle raises, and a raise is never cached."""
@@ -399,9 +410,11 @@ class PlaneGraph:
         u, v = self.outer
         mirror = PlaneGraph(rot, (v, u))
         # a mirror has the same vertices, edges and blocks, and the same small
-        # cycles, each splitting the sphere into the same two vertex sets
+        # cycles, each splitting the sphere into the same two vertex sets; its
+        # boundary walk has the same vertices and edges, so the same chords
         _inherit(mirror, self, ("m", "edges", "components", "block_decomposition",
-                                "separating_small_cycle"))
+                                "separating_small_cycle", "boundary_chords",
+                                "boundary_two_chords"))
         if "boundary_walk" in self.__dict__:
             # the outer face traced backwards from (v1, v0): v1 v0 v_k-1 ... v2
             vs = self.boundary_walk.vertices
@@ -480,18 +493,21 @@ def chords(g: PlaneGraph, walk: FaceWalk | None = None) -> set[Edge]:
 
 
 def two_chords(g: PlaneGraph, walk: FaceWalk | None = None) -> set[tuple[int, int, int]]:
-    """Length-2 paths u-m-v with u, v on the walk and m off it (u < v)."""
+    """Length-2 paths u-m-v with u, v on the walk and m off it (u < v),
+    read off the rotations of the walk's vertices: only the neighbours of
+    the walk off it are visited."""
     walk = walk or g.boundary_walk
     bset = walk.vertex_set
+    ends: dict[int, list[int]] = {}
+    for u in bset:
+        for m in g.neighbors(u):
+            if m not in bset:
+                ends.setdefault(m, []).append(u)
     out = set()
-    for m in g.vertices():
-        if m in bset:
-            continue
-        ends = [u for u in g.neighbors(m) if u in bset]
-        for i, u in enumerate(ends):
-            for v in ends[i + 1:]:
-                a, b = (u, v) if u < v else (v, u)
-                out.add((a, m, b))
+    for m, us in ends.items():
+        for i, u in enumerate(us):
+            for v in us[i + 1:]:
+                out.add((u, m, v) if u < v else (v, m, u))
     return out
 
 

@@ -15,7 +15,7 @@ from .decomposition import relaxed_exempt_set, verify
 from .main_decomposer import (CaseTrace, Goal, decompose_21, decompose_config,
                               goal_spec)
 from .oracle import brute_force, enumerate_configurations, enumerate_graphs
-from .plane_graph import PlaneGraph, chords
+from .plane_graph import PlaneGraph
 
 
 def m1_precondition(g: PlaneGraph, path: tuple[int, int, int, int]) -> bool:
@@ -28,7 +28,7 @@ def special_preconditions_testable(g: PlaneGraph,
                                    path: tuple[int, int, int, int]) -> bool:
     """True when the restricted containment test applies to (g, path)."""
     return (g.is_two_connected() and g.boundary_walk.is_simple_cycle()
-            and not chords(g) and g.separating_small_cycle is None)
+            and not g.boundary_chords and g.separating_small_cycle is None)
 
 
 def applicable_goals(g: PlaneGraph, path: tuple[int, int, int, int]

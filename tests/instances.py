@@ -20,17 +20,19 @@ the grid subgraphs of its ``large`` workload.
 from __future__ import annotations
 
 import functools
+import graphlib
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
 import networkx as nx
 
 from planedec.decomposition import (Decomposition, VerifyReport,
-                                    degeneracy_order)
+                                    block_of_center, degeneracy_order)
 from planedec.oracle import enumerate_graphs, rotation_systems
 from planedec.plane_graph import (Edge, Piece, PlaneGraph, PlaneGraphError,
-                                  extract_piece, und, validate)
+                                  chords, extract_piece, und, validate)
 
 
 def embed(n: int, edges: list[tuple[int, int]], outer_cycle: list[int]) -> PlaneGraph:
@@ -531,3 +533,60 @@ def bench_grid_subgraph(seed: int, k: int, share: float) -> PlaneGraph:
     1000 seed + 10 k + int(100 share) (the ROADMAP's set of 180)."""
     rng = random.Random(1000 * seed + 10 * k + int(100 * share))
     return _bench_generators().grid_subgraph(k, share, rng)
+
+
+def reference_two_chords(g: PlaneGraph) -> set[tuple[int, int, int]]:
+    """``two_chords`` by a scan over every vertex off the boundary walk."""
+    bset = g.boundary_vertices
+    out = set()
+    for m in g.vertices():
+        if m not in bset:
+            ends = sorted(u for u in g.neighbors(m) if u in bset)
+            out.update((a, m, b) for a, b in itertools.combinations(ends, 2))
+    return out
+
+
+def reference_cstar_chord(g: PlaneGraph, seq: list[int]) -> tuple[int, int] | None:
+    """Claim 9's chord of C* = seq by a ``has_edge`` test on every pair of
+    positions (i, j), in lexicographic order: j >= i + 2, both milestones
+    interior, and not C*'s own edge from its last position to its first."""
+    boundary = g.boundary_vertices
+    s = len(seq)
+    for i, j in itertools.combinations(range(s), 2):
+        a, b = seq[i], seq[j]
+        if (j - i >= 2 and not (i == 0 and j == s - 1) and g.has_edge(a, b)
+                and a not in boundary and b not in boundary):
+            return i, j
+    return None
+
+
+def reference_degeneracy_order(dec: Decomposition, vertices) -> list[int]:
+    """``degeneracy_order`` by ``graphlib.TopologicalSorter``, each batch of
+    ready vertices sorted; out-neighbours are fed as predecessors."""
+    succ: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in dec.arcs:
+        succ.setdefault(a, []).append(b)
+        succ.setdefault(b, [])
+    ts = graphlib.TopologicalSorter({v: sorted(ws) for v, ws in succ.items()})
+    order: list[int] = []
+    ts.prepare()
+    while ts.is_active():
+        batch = sorted(ts.get_ready())
+        order.extend(batch)
+        ts.done(*batch)
+    return order
+
+
+def reference_relaxed_exempt_set(g: PlaneGraph, path) -> set[int]:
+    """``relaxed_exempt_set`` read on a copy of the centre block, whatever
+    g is: the chord neighbours of the centre vertices on its boundary."""
+    piece = block_of_center(g, path)
+    cm = piece.child_of
+    centers = {cm[path[1]], cm[path[2]]}
+    out = set()
+    for u, v in chords(piece.graph):
+        if u in centers:
+            out.add(piece.parent_of(v))
+        if v in centers:
+            out.add(piece.parent_of(u))
+    return out

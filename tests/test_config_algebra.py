@@ -2,9 +2,11 @@ import hashlib
 
 import pytest
 
+from planedec import config_algebra
 from planedec.config_algebra import (Configuration, combine, contains_special,
                                      full_reverse, generate_family, leaf_p1,
-                                     leaf_r1, recognize, reverse_view)
+                                     leaf_r1, recognize, recognize_reversed,
+                                     reverse_view)
 from planedec.decomposition import path_orientation
 from planedec.oracle import (config_key, enumerate_configurations,
                              enumerate_graphs)
@@ -209,3 +211,28 @@ def test_recognition_derivations_frozen():
         h.update(repr((_sketch(d), _sketch(recognize(d.config)))).encode())
     assert (calls, members) == (13634, 48)
     assert h.hexdigest() == RECOGNITION_DIGEST
+
+
+def test_recognize_reversed_equals_recognizing_the_mirror(monkeypatch):
+    """recognize_reversed(c) gives the derivation recognize(full_reverse(c))
+    gives, on every configuration with n <= 7 read in both path directions
+    and on every family member with n <= 10; 857 of the 1 843 answers come
+    without a mirror."""
+    mirrors = 0
+    reverse = config_algebra.full_reverse
+
+    def counted(c):
+        nonlocal mirrors
+        mirrors += 1
+        return reverse(c)
+
+    cases = [Configuration(g, path) for g in enumerate_graphs(7)
+             for quad in enumerate_configurations(g) for path in (quad, quad[::-1])]
+    cases += [d.config for d in generate_family(10)]
+    monkeypatch.setattr(config_algebra, "full_reverse", counted)
+    got = [_sketch(recognize_reversed(c)) for c in cases]
+    skipped = len(cases) - mirrors
+    monkeypatch.undo()
+    assert got == [_sketch(recognize(full_reverse(c))) for c in cases]
+    assert sum(d is not None for d in got) == 40
+    assert (len(cases), skipped) == (1843, 857)

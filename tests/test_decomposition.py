@@ -7,7 +7,7 @@ from planedec.decomposition import (ConstraintSpec, Decomposition,
                                     EdgeInMatching, check_coloring,
                                     check_config_path, defective_coloring,
                                     degeneracy_order, path_orientation,
-                                    verify, verify_21)
+                                    relaxed_exempt_set, verify, verify_21)
 from planedec.oracle import (brute_force, enumerate_configurations,
                              enumerate_graphs, verify_independent)
 from planedec.main_decomposer import decompose_21
@@ -249,3 +249,21 @@ def test_path_checks_match_window_sets():
             oriented += want in (1, -1)
             checked += 1
     assert checked > 100_000 and oriented > 5_000
+
+
+def test_degeneracy_order_and_exemptions_match_the_references():
+    """On every graph with n <= 7, the sink-peeling order of its
+    decomposition is graphlib's, and the exempt set of every path, read
+    either way, is the one read on a copy of the centre block."""
+    paths = two_connected = 0
+    for g in enumerate_graphs(7):
+        dec, _ = decompose_21(g)
+        want = instances.reference_degeneracy_order(dec, g.vertices())
+        assert degeneracy_order(dec, g.vertices()) == want
+        for quad in enumerate_configurations(g):
+            for path in (quad, quad[::-1]):
+                assert relaxed_exempt_set(g, path) == \
+                    instances.reference_relaxed_exempt_set(g, path)
+                paths += 1
+                two_connected += g.is_two_connected()
+    assert 0 < two_connected < paths

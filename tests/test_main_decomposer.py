@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import random
 import signal
 import sys
 
@@ -774,6 +775,84 @@ def test_each_solved_configuration_is_stored_once(monkeypatch, g):
     monkeypatch.setattr(main_decomposer, "_dispatch", counted)
     _, trace = decompose_21(g)
     assert len(trace.solved) == returned > 1
+
+
+def _forgetful_recognition() -> CaseTrace:
+    trace = CaseTrace()
+    trace.recognized = _NeverStores()
+    return trace
+
+
+def _counted_recognitions(monkeypatch) -> list:
+    """Record each configuration that main_decomposer hands to recognize or
+    recognize_reversed."""
+    calls = []
+    for name in ("recognize", "recognize_reversed"):
+        def counted(c, fn=getattr(main_decomposer, name)):
+            calls.append(c)
+            return fn(c)
+        monkeypatch.setattr(main_decomposer, name, counted)
+    return calls
+
+
+def test_recognition_table_changes_no_output(monkeypatch):
+    """Every output, with its case trace, is the same whether or not a call
+    looks a configuration up in its table of recognitions before it
+    recognizes it, and on the 16 x 16 grid the table saves recognitions."""
+    runs = _table_inputs()
+    with_table = _outputs(runs)
+    calls = _counted_recognitions(monkeypatch)
+    decompose_21(instances.grid(16, 16))
+    tabled = len(calls)
+    monkeypatch.setattr(main_decomposer, "CaseTrace", _forgetful_recognition)
+    decompose_21(instances.grid(16, 16))
+    assert 0 < tabled < len(calls) - tabled
+    assert _outputs(runs) == with_table
+
+
+def test_cstar_chord_and_two_chords_match_the_scans(monkeypatch):
+    """At every C* built while decomposing the n <= 7 graphs, the full grids
+    and ladders and the grid subgraphs of seeds 1 and 2, and on random
+    milestone sequences over the grids and ladders, the chord that Claim 9
+    looks up by position is the pair the all-pairs ``has_edge`` scan picks; and the 2-chords of those graphs, and of every graph whose
+    2-chords the ladder reads, are those of the scan over every vertex."""
+    picks = []
+    pick = main_decomposer._cstar_chord
+    scanned = 0
+    scan = plane_graph.two_chords
+
+    def compared_pick(g, seq, interior):
+        got = pick(g, seq, interior)
+        picks.append((got, instances.reference_cstar_chord(g, seq)))
+        return got
+
+    def compared_scan(g, walk=None):
+        nonlocal scanned
+        got = scan(g, walk)
+        assert walk is not None or got == instances.reference_two_chords(g)
+        scanned += 1
+        return got
+
+    monkeypatch.setattr(main_decomposer, "_cstar_chord", compared_pick)
+    monkeypatch.setattr(plane_graph, "two_chords", compared_scan)
+    graphs = [*enumerate_graphs(7), *instances.large_grids()]
+    graphs += [instances.bench_grid_subgraph(seed, k, share) for seed in (1, 2)
+               for k in range(5, 11) for share in (.1, .25, .4)]
+    for g in graphs:
+        plane_graph.two_chords(g)
+        decompose_21(g)
+    # random milestone sequences, repeats allowed, that start on the boundary
+    rng = random.Random(9)
+    for g in instances.large_grids():
+        boundary = g.boundary_vertices
+        for _ in range(10):
+            seq = [rng.choice(sorted(boundary))]
+            seq += rng.choices(g.vertices(), k=rng.randrange(3, 40))
+            interior = [i for i, p in enumerate(seq) if p not in boundary]
+            picks.append((pick(g, seq, interior), instances.reference_cstar_chord(g, seq)))
+    assert [got for got, want in picks if got != want] == []
+    assert sum(got is not None for got, _ in picks) > 100
+    assert scanned > len(graphs) + 300
 
 
 def test_a_hit_replays_the_trace_and_returns_the_verified_object():
