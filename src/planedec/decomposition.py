@@ -178,14 +178,27 @@ def _fail(clause: str, detail: str) -> VerifyReport:
     return VerifyReport(False, clause, detail)
 
 
-def _partition_failure(dec: Decomposition, want: AbstractSet[Edge]) -> VerifyReport | None:
+def _partition_failure(dec: Decomposition, g: PlaneGraph, center: Edge | None = None
+                       ) -> VerifyReport | None:
     """The failed report when the arcs and the matching do not cover the
-    edges in want exactly once each; None when they do.  The set of covered
-    edges decides, its size telling whether one was covered twice; the list
-    of them is built only to report a failure."""
+    edges of g but center exactly once each; None when they do.
+
+    The covers pass without g's edge set when there are as many of them as
+    wanted edges, no two share an edge, the centre is not covered, and each
+    covered pair is an edge of g in sorted order: they are then distinct
+    wanted edges, as many as there are.  Otherwise the set of covered edges
+    is compared with the wanted ones, its size telling whether one was
+    covered twice; the list of them is built only to report a failure."""
     once = {(u, v) if u < v else (v, u) for u, v in dec.arcs}
     once |= dec.matching
-    if len(once) == len(dec.arcs) + len(dec.matching) and once == want:
+    size = len(dec.arcs) + len(dec.matching)
+    n, rot = g.n, g.rotation
+    wanted = g.m - (center is not None and g.has_edge(*center))
+    if (size == wanted and len(once) == size and center not in once
+            and all(u < v and 0 < u <= n and v in rot[u - 1] for u, v in once)):
+        return None
+    want = g.edges - {center}
+    if len(once) == size and once == want:
         return None
     got = dec.covered_edges()
     if len(once) != len(got):
@@ -331,7 +344,7 @@ def verify(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
     center = und(v2, v3)
 
     # (a) arcs + matching cover exactly E(g) - centre, once each
-    bad = _partition_failure(dec, g.edges - {center})
+    bad = _partition_failure(dec, g, center)
     if bad is not None:
         return bad
 
@@ -385,7 +398,7 @@ def verify(g: PlaneGraph, path: Sequence[int], spec: ConstraintSpec,
 
 def verify_21(g: PlaneGraph, dec: Decomposition) -> VerifyReport:
     """Whole-graph check: partition of E(g), matching, acyclic, out-degree <= 2."""
-    bad = _partition_failure(dec, g.edges)
+    bad = _partition_failure(dec, g)
     if bad is not None:
         return bad
     touched: set[int] = set()

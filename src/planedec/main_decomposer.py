@@ -1222,15 +1222,15 @@ def _anchored_m0(cfg: Configuration, piece: Piece, trace: CaseTrace
                  ) -> Decomposition:
     """An M0-style decomposition of the piece minus the edge x-y of cfg's
     path with zero budget on x and y, in parent ids.  Degenerate pieces
-    without a boundary path go through the exhaustive search (tiny by
-    construction).  It gives cap 1 to the piece's boundary walk and to
-    every vertex with a neighbour on g's boundary, whose cross arc the
-    caller adds: in a piece that falls apart, the components off the walk
-    hold such vertices too."""
+    without a boundary path, and pieces that fall apart (the recursion
+    needs a connected graph), go through the exhaustive search.  It gives
+    cap 1 to the piece's boundary walk and to every vertex with a neighbour
+    on g's boundary, whose cross arc the caller adds: in a piece that falls
+    apart, the components off the walk hold such vertices too."""
     g = cfg.graph
     x, y = cfg.path[1:3]
     try:
-        quad = walk_quad(piece, x, y)
+        quad = walk_quad(piece, x, y) if piece.graph.is_connected() else None
     except PlaneGraphError:
         quad = None
     if quad is not None:
@@ -1306,6 +1306,20 @@ def _obs_0000(piece: Piece, path: Sequence[int], trace: CaseTrace
     return _solve(piece, path, goal, trace)
 
 
+def _obs_0000_or_search(cfg: Configuration, piece: Piece, cross: list[Edge],
+                        trace: CaseTrace) -> Decomposition:
+    """(1001,0000) for the G'' of Claim 10 or of the final step on cfg's
+    path.  A G'' that falls apart cannot recurse, so it goes to the
+    exhaustive search under the final caps instead, with the budget of the
+    cross arcs it sends out of the piece reserved, as in _anchored_0000."""
+    if piece.graph.is_connected():
+        return _obs_0000(piece, cfg.path, trace)
+    w, x, y, _ = cfg.path
+    return _search(cfg, piece, {w: 1, x: 0, y: 0}, cfg.graph.boundary_vertices,
+                   {und(x, y)}, "anchored-0000", trace,
+                   reserved=Counter(p for p, _ in cross))
+
+
 def _milestone_fans(gi: Piece, gj: Piece, seq: list[int], i: int, j: int,
                     trace: CaseTrace) -> tuple[Decomposition, Decomposition]:
     """The fan pieces G_i = Int(B[w_i-, w_i+] + w_i) and G_j of Claims 9
@@ -1366,10 +1380,10 @@ def _claim10(cfg: Configuration, seq: list[int], i: int, j: int,
     owned = (set(gi.to_parent) - {wim, wi, wip}) | (set(gj.to_parent) - {wjm, wj, wjp})
     piece = extract_piece(g, set(g.vertices()) - owned - set(run),
                           outer_parent_edge=(x, y))
-    dpp = _obs_0000(piece, cfg.path, trace)
+    cross = _arcs_into(g, piece, set(run))
+    dpp = _obs_0000_or_search(cfg, piece, cross, trace)
     di, dj = _milestone_fans(gi, gj, seq, i, j, trace)
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
-    cross = _arcs_into(g, piece, set(run))
     return dpp.union(di, dj).adjust(add_arcs=path_arcs + cross)
 
 
@@ -1413,7 +1427,8 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
     owned = (set(g3.to_parent) - {z, w3, w4}) | (set(g5.to_parent) - {w4, w5, w6})
     piece = extract_piece(g, set(g.vertices()) - owned - {w4},
                           outer_parent_edge=(x, y))
-    dpp = _obs_0000(piece, cfg.path, trace)
+    cross = _arcs_into(g, piece, {w4})
+    dpp = _obs_0000_or_search(cfg, piece, cross, trace)
     if (z, w3) in dpp.arcs:
         # z's single permitted out-arc; safe to point it back at z
         dpp = dpp.adjust(drop_arcs=[(z, w3)], add_arcs=[(w3, z)])
@@ -1431,7 +1446,7 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
     if (w4, w5) not in d5.arcs:
         raise CounterexampleError(cfg, "expected forced arc (w4, w5)")
     d5 = d5.adjust(drop_arcs=[(w4, w5)])
-    return dpp.union(d3, d5).adjust(add_arcs=_arcs_into(g, piece, {w4}))
+    return dpp.union(d3, d5).adjust(add_arcs=cross)
 
 
 # ---------------------------------------------------------------------------

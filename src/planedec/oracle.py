@@ -8,14 +8,14 @@ and decompositions are found by exhaustive assignment with pruning.
 Embeddings are deduplicated by canonical_form, which takes the least BFS code
 over the outer face's directed edges and over those of the mirror image.  The
 enumerator keys each (rotation system, face) pair with that same key without
-building a PlaneGraph for it, and skips a rotation system outright when its
+building a PlaneGraph for it, and never traces a rotation system whose
 mirror image (every rotation reversed) is a smaller tuple: rotation_systems
-yields in increasing order, so that mirror has already been keyed.  Its faces
-are the skipped system's faces walked backwards, and the key folds in the
-reflection, so every key the skipped system would produce is already seen and
-it could never emit a graph.  The keys, and the (rotation, outer) pairs
-emitted and their order, are therefore exactly those of keying every pair
-with canonical_form.
+leaves it out on request, and in the full increasing order that mirror comes
+first.  Its faces are the left-out system's faces walked backwards, and the
+key folds in the reflection, so every key the left-out system would produce
+is already seen and it could never emit a graph.  The keys, and the
+(rotation, outer) pairs emitted and their order, are therefore exactly those
+of keying every pair with canonical_form.
 
 Abstract graphs are grown one vertex at a time (abstract_graphs_augment) and
 deduplicated by graph_certificate, an exact canonical labelling by
@@ -49,7 +49,8 @@ from .plane_graph import Edge, PlaneGraph, PlaneGraphError
 Rotation = tuple[tuple[int, ...], ...]
 
 
-def _encode(rot: Rotation, u0: int, v0: int) -> bytes:
+def _encode(rot: Rotation, u0: int, v0: int, bound: bytes | None = None
+            ) -> bytes | None:
     """The one BFS encoder behind bfs_encode, canonical_form, config_key and
     plane_graphs_of.  rot[w - 1] is the cyclic rotation at w, read from any
     starting neighbour; the code starts along the directed edge (u0, v0).
@@ -58,16 +59,30 @@ def _encode(rot: Rotation, u0: int, v0: int) -> bytes:
     joined by a separator.  Below n = 124 every entry is one byte and the
     separator is 124 (b"|"), which no label reaches; from n = 124 on every
     entry is a 4-byte big-endian word and the separator is 0, which no label
-    takes.  So the code is injective at every n."""
+    takes.  So the code is injective at every n.
+
+    bound, if given, is a code of the same graph, which has the same n and
+    number of entries, so byte order is entry order.  A label is final as
+    soon as it is assigned, so each entry is compared with the bound's as it
+    is read, until one differs: None is returned at the first entry above
+    the bound's, or at the end if the code equals the bound.  The code is
+    returned only when it is smaller."""
     n = len(rot)
     narrow = n < 124
+    sep = 124 if narrow else 0
     label = [0] * (n + 1)
-    label[0] = 124 if narrow else 0  # vertex 0 stands for the separator in flat
+    label[0] = sep  # vertex 0 stands for the separator in flat
     label[u0] = 1
     arrival = [0] * (n + 1)
     arrival[u0] = v0
     order = [u0]
     flat: list[int] = []
+    tied = bound is not None  # every entry so far equals the bound's
+    if tied:
+        # the bound's entries, with a separator after its last row
+        ref = (bound + b"|" if narrow else
+               struct.unpack(f">{len(bound) // 4}I", bound) + (0,))
+        k = 1  # the next entry to compare; entry 0 is n
     for w in order:  # order grows while it is read: a breadth-first queue
         r = rot[w - 1]
         i = r.index(arrival[w])
@@ -75,10 +90,27 @@ def _encode(rot: Rotation, u0: int, v0: int) -> bytes:
         flat += row
         flat.append(0)
         for q in row:
-            if not label[q]:
-                label[q] = len(order) + 1
+            e = label[q]
+            if not e:
+                e = label[q] = len(order) + 1
                 arrival[q] = w
                 order.append(q)
+            if tied:
+                f = ref[k]
+                k += 1
+                if e != f:
+                    if e > f:
+                        return None
+                    tied = False
+        if tied:  # the row's separator
+            f = ref[k]
+            k += 1
+            if sep != f:
+                if sep > f:
+                    return None
+                tied = False
+    if tied:
+        return None
     flat.pop()
     if narrow:
         return bytes([n]) + bytes(map(label.__getitem__, flat))
@@ -105,13 +137,22 @@ def _face_key(rot: Rotation, mirror: Rotation | None, face: Sequence[Edge]
     reads d+2.  In the one-byte code (n <= 123) the separator 124 exceeds
     every label, so d is the face's largest degree; in the word code the
     separator 0 is the least entry, so d is its smallest.
+
+    Each start is encoded against the least code so far as its bound, so a
+    code that loses is read only up to its first entry above the bound
+    (Brinkmann & McKay's canonicity tests in plantri stop at the first
+    difference the same way).  The starts and their order are those of
+    taking the plain minimum, and so is the result.
     """
     degrees = [len(rot[u - 1]) for u, _ in face]
     d = max(degrees) if len(rot) <= 123 else min(degrees)
-    key = min(_encode(rot, u, v) for u, v in face if len(rot[u - 1]) == d)
-    if mirror is None:
-        return key
-    return min(key, min(_encode(mirror, v, u) for u, v in face if len(rot[v - 1]) == d))
+    starts = [(rot, u, v) for u, v in face if len(rot[u - 1]) == d]
+    if mirror is not None:
+        starts += [(mirror, v, u) for u, v in face if len(rot[v - 1]) == d]
+    best = None
+    for start in starts:
+        best = _encode(*start, best) or best
+    return best
 
 
 def bfs_encode(g: PlaneGraph, start: Edge) -> bytes:
@@ -425,7 +466,8 @@ def abstract_graphs_edge_subsets(n: int) -> list[nx.Graph]:
 # embedding enumeration
 # ---------------------------------------------------------------------------
 
-def rotation_systems(G: nx.Graph) -> Iterator[Rotation]:
+def rotation_systems(G: nx.Graph, *, one_per_mirror_pair: bool = False
+                     ) -> Iterator[Rotation]:
     """All sphere embeddings of a connected graph, as rotation tuples in
     normal form (each rotation starts at its smallest neighbour), in
     increasing tuple order (itertools.product over each vertex's candidate
@@ -436,6 +478,16 @@ def rotation_systems(G: nx.Graph) -> Iterator[Rotation]:
     consecutive slots in sorted-neighbour order.  Each candidate rotation at
     v is then built once, as the slots that follow v's incoming edges on
     their faces, and a product element is traced as one flat permutation.
+
+    With one_per_mirror_pair, a system whose mirror image (_mirror) is a
+    smaller tuple is left out, and only the others are traced.  A rotation r
+    in normal form at a vertex of degree <= 2 is its own mirror
+    (r[0],) + r[:0:-1]; at degree >= 3 it never is, since that would need
+    r[1] == r[-1].  So the first vertex of degree >= 3 decides the tuple
+    comparison of a system with its mirror, and the product keeps there only
+    the rotations smaller than their mirrors.  What is yielded is then a
+    subsequence of the full order, still increasing, and half of it when
+    some vertex has degree >= 3.
     """
     n = G.number_of_nodes()
     m = G.number_of_edges()
@@ -445,12 +497,16 @@ def rotation_systems(G: nx.Graph) -> Iterator[Rotation]:
         for u in nbrs[v]:
             slot[(u, v)] = len(slot)
     per_vertex = []
+    halve = one_per_mirror_pair  # until the first vertex of degree >= 3
     for v in range(1, n + 1):
         ns = nbrs[v]
         if len(ns) <= 2:
             rots = [tuple(ns)]
         else:
             rots = [(ns[0],) + p for p in itertools.permutations(ns[1:])]
+            if halve:
+                rots = [r for r in rots if r < (r[0],) + r[:0:-1]]
+                halve = False
         cands = []
         for r in rots:
             after = {u: r[(i + 1) % len(r)] for i, u in enumerate(r)}
@@ -494,13 +550,14 @@ def _faces(rot: Rotation) -> list[tuple[Edge, ...]]:
 def plane_graphs_of(G: nx.Graph) -> list[PlaneGraph]:
     """All plane graphs (embedding + outer face) of G, deduplicated with
     reflection included: for every rotation system and every face, in that
-    order, the first plane graph of each canonical_form."""
+    order, the first plane graph of each canonical_form.
+
+    Only one system of each mirror pair is traced and keyed (see the module
+    docstring): its faces' keys already fold in the reflection."""
     out: list[PlaneGraph] = []
     seen: set[bytes] = set()
-    for rot in rotation_systems(G):
+    for rot in rotation_systems(G, one_per_mirror_pair=True):
         mirror = _mirror(rot)
-        if mirror < rot:  # yielded, and keyed, before rot
-            continue
         for face in _faces(rot):
             key = _face_key(rot, mirror, face)
             if key not in seen:

@@ -11,10 +11,12 @@ the outside flood (``classify_darts_by_cycle``) behind ``inside_darts``,
 ``int_subgraph`` and Ext(C), the DFS behind ``small_cycles``, the three
 walk scans behind ``_walk_path``, the window sets behind the path checks,
 the per-vertex arc scans behind ``verify_21`` and ``defective_coloring``,
-the one piece per deleted vertex behind ``light_peel``, and the plain
-backtracking behind ``tiny_search``.  ``bench_grid_subgraph`` draws grid
-subgraphs with the benchmark's own generator, and ``bench_large_subgraph``
-the grid subgraphs of its ``large`` workload.
+the one piece per deleted vertex behind ``light_peel``, the plain
+backtracking behind ``tiny_search``, and the edge-set comparison behind the
+partition check of ``verify`` and ``verify_21``.  ``bench_grid_subgraph``
+draws grid subgraphs with the benchmark's own generator, and
+``bench_large_subgraph`` the grid subgraphs of its ``large`` workload.
+``FALLING_APART`` holds graphs whose G'' once fell apart in the recursion.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import random
 from pathlib import Path
 
 import networkx as nx
+
+from collections import Counter
 
 from planedec.decomposition import (Decomposition, VerifyReport,
                                     block_of_center, degeneracy_order)
@@ -48,6 +52,41 @@ def embed(n: int, edges: list[tuple[int, int]], outer_cycle: list[int]) -> Plane
             if validate(g).ok:
                 return g
     raise AssertionError("no plane embedding with the requested outer cycle")
+
+
+# Cubic duals of random triangulations on which a G'' that falls apart once
+# reached the recursion and raised "bridge of a block with attachments
+# set()": Claim 8's G'' in A, Claim 10's in B.  Each is (rotation, outer).
+FALLING_APART = {
+    "A": (
+        ((2, 22, 7), (3, 15, 1), (4, 14, 2), (5, 26, 3), (6, 35, 4),
+         (7, 32, 5), (1, 9, 6), (9, 22, 18), (10, 7, 8), (11, 29, 9),
+         (12, 31, 10), (13, 36, 11), (14, 25, 12), (3, 24, 13), (16, 28, 2),
+         (17, 21, 15), (18, 20, 16), (8, 19, 17), (18, 23, 20), (19, 21, 17),
+         (20, 28, 16), (8, 1, 23), (22, 28, 19), (14, 26, 25), (24, 27, 13),
+         (24, 4, 27), (26, 34, 25), (15, 21, 23), (30, 32, 10), (31, 33, 29),
+         (11, 36, 30), (33, 6, 29), (30, 35, 32), (35, 36, 27), (5, 33, 34),
+         (31, 12, 34)),
+        (8, 18)),
+    "B": (
+        ((2, 20, 4), (3, 67, 1), (4, 76, 2), (1, 21, 3), (6, 14, 8),
+         (7, 75, 5), (8, 31, 6), (5, 15, 7), (10, 76, 21), (11, 25, 9),
+         (12, 26, 10), (13, 70, 11), (14, 32, 12), (5, 75, 13), (16, 30, 8),
+         (17, 22, 15), (18, 24, 16), (19, 46, 17), (20, 45, 18), (21, 1, 19),
+         (9, 4, 20), (23, 40, 16), (24, 48, 22), (17, 47, 23), (26, 76, 10),
+         (11, 71, 25), (28, 63, 34), (29, 74, 27), (30, 73, 28), (15, 35, 29),
+         (32, 75, 7), (33, 13, 31), (34, 59, 32), (27, 58, 33), (36, 58, 30),
+         (37, 61, 35), (38, 41, 36), (39, 51, 37), (40, 66, 38), (22, 72, 39),
+         (42, 37, 51), (43, 61, 41), (44, 54, 42), (45, 68, 43), (46, 19, 44),
+         (47, 18, 45), (48, 24, 46), (49, 23, 47), (50, 72, 48), (51, 66, 49),
+         (41, 38, 50), (53, 64, 57), (54, 69, 52), (55, 43, 53), (56, 61, 54),
+         (57, 60, 55), (52, 65, 56), (34, 62, 35), (60, 64, 33), (56, 65, 59),
+         (36, 42, 55), (63, 73, 58), (27, 74, 62), (65, 52, 59), (60, 57, 64),
+         (39, 72, 50), (68, 2, 71), (69, 44, 67), (70, 53, 68), (71, 12, 69),
+         (67, 26, 70), (49, 66, 40), (62, 74, 29), (73, 63, 28), (6, 31, 14),
+         (3, 9, 25)),
+        (42, 61)),
+}
 
 
 def claim9_instance() -> tuple[PlaneGraph, tuple[int, int, int, int]]:
@@ -590,3 +629,20 @@ def reference_relaxed_exempt_set(g: PlaneGraph, path) -> set[int]:
         if v in centers:
             out.add(piece.parent_of(u))
     return out
+
+
+def reference_partition_failure(dec: Decomposition, want: set[Edge]
+                                ) -> VerifyReport | None:
+    """The partition check of ``verify`` and ``verify_21`` against the set
+    of wanted edges: the set of covered edges decides, its size telling
+    whether one was covered twice."""
+    once = {(u, v) if u < v else (v, u) for u, v in dec.arcs}
+    once |= dec.matching
+    if len(once) == len(dec.arcs) + len(dec.matching) and once == want:
+        return None
+    got = dec.covered_edges()
+    if len(once) != len(got):
+        dup = sorted(e for e, c in Counter(got).items() if c > 1)
+        return VerifyReport(False, "partition", f"edges covered twice: {dup}")
+    return VerifyReport(False, "partition",
+                        f"missing={sorted(want - once)} extra={sorted(once - want)}")

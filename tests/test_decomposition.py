@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from planedec import decomposition
 from planedec.decomposition import (ConstraintSpec, Decomposition,
                                     EdgeInMatching, check_coloring,
                                     check_config_path, defective_coloring,
@@ -179,6 +180,69 @@ def test_whole_graph_checks_match_arc_scans():
             assert (_outcome(defective_coloring, g, d)
                     == _outcome(instances.reference_defective_coloring, g, d))
     assert clauses == {"", "partition", "matching", "acyclic", "outdeg"}
+
+
+def _partition_mutants(g, dec, center):
+    """dec, which covers the edges of g but center once each, then copies
+    with an edge covered twice, the centre covered, an id out of range, an
+    unsorted matching pair or an edge left out.  Each bad cover is added
+    once on top and once in place of a good one, which keeps the count of
+    covers right."""
+    arcs, matching = set(dec.arcs), set(dec.matching)
+    yield dec
+    extra = [(g.n, g.n + 1), (0, 1)]
+    if center is not None:
+        extra.append(center)
+    if arcs:
+        a = min(arcs)
+        extra.append(a[::-1])
+        yield Decomposition(frozenset(arcs), frozenset(matching | {und(*a)}))
+        yield Decomposition(frozenset(arcs - {a}), frozenset(matching))
+        if len(arcs) > 1:
+            rest = arcs - {max(arcs)}
+            yield Decomposition(frozenset(rest | {a[::-1]}), frozenset(matching))
+            yield Decomposition(frozenset(rest), frozenset(matching | {und(*a)}))
+    for b in extra:
+        yield Decomposition(frozenset(arcs | {b}), frozenset(matching))
+        if arcs:
+            yield Decomposition(frozenset(arcs - {a} | {b}), frozenset(matching))
+    if matching:
+        e = min(matching)
+        for b in (e[::-1], center):
+            if b is not None:
+                yield Decomposition(frozenset(arcs), frozenset(matching - {e} | {b}))
+
+
+def test_partition_check_matches_the_edge_set_comparison(monkeypatch):
+    """verify and verify_21 report what the comparison with g's edge set
+    (kept in tests/instances.py) reports, on decompositions of every graph
+    with n <= 7 and on copies broken in their partition."""
+    cases = []
+    for g in enumerate_graphs(7):
+        dec, _ = decompose_21(g)
+        cases += [(g, None, d) for d in _partition_mutants(g, dec, None)]
+        for quad in enumerate_configurations(g):
+            center = und(quad[1], quad[2])
+            part = Decomposition(
+                frozenset(a for a in dec.arcs if und(*a) != center),
+                dec.matching - {center})
+            cases += [(g, quad, d) for d in _partition_mutants(g, part, center)]
+    spec = ConstraintSpec.parse("1001,0000")
+
+    def reports():
+        return [verify_21(g, d) if quad is None else verify(g, quad, spec, d)
+                for g, quad, d in cases]
+
+    got = reports()
+    monkeypatch.setattr(
+        decomposition, "_partition_failure",
+        lambda dec, g, center=None:
+            instances.reference_partition_failure(dec, g.edges - {center}))
+    assert got == reports()
+    kinds = {r.detail.split("=")[0].split(":")[0]
+             for r in got if r.clause == "partition"}
+    assert kinds == {"edges covered twice", "missing"}
+    assert sum(r.clause != "partition" for r in got) > 1000
 
 
 def test_verify_agrees_with_independent_reimplementation():

@@ -657,6 +657,21 @@ def test_claim11_piece_that_falls_apart():
     assert verify_21(g, dec)
 
 
+@pytest.mark.parametrize("name,claim,search", [
+    ("A", "Claim8", "anchored n=27"),
+    ("B", "Claim10", "anchored-0000 n=39"),
+])
+def test_cubic_dual_whose_g_double_prime_falls_apart(name, claim, search):
+    """The G'' of Claim 8 (A) or Claim 10 (B) falls apart; it goes to the
+    search with its cross arcs reserved instead of the recursion, where
+    Claim 2 raised 'bridge of a block with attachments set()'."""
+    g = PlaneGraph(*instances.FALLING_APART[name])
+    dec, trace = decompose_21(g)
+    assert claim in trace.labels()
+    assert ("Tiny", search) in trace.entries
+    assert verify_21(g, dec)
+
+
 def test_inherited_caches_match_fresh_graphs(monkeypatch):
     """Every piece and mirror built while decomposing the n <= 8 graphs,
     C4 x P3, C4 x P5 and the grid subgraphs of the large workload at seeds 1

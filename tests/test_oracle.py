@@ -254,6 +254,47 @@ def test_embedding_enumeration_matches_reference_n7(monkeypatch):
     assert skipped > 0
 
 
+def test_one_per_mirror_pair_keeps_the_reference_systems_not_above_their_mirrors():
+    """With one_per_mirror_pair, rotation_systems yields the reference
+    systems that are not larger than their mirrors, in order: exactly half
+    of them when a vertex has degree >= 3, and all of them on a path and on
+    a cycle, which have none."""
+    levels = abstract_graphs_augment(7)
+    halved = 0
+    for G in (G for n in range(2, 8) for G in levels[n]):
+        every = list(_reference_rotation_systems(G))
+        half = list(rotation_systems(G, one_per_mirror_pair=True))
+        assert half == [r for r in every if oracle._mirror(r) >= r]
+        if max(d for _, d in G.degree()) >= 3:
+            assert 2 * len(half) == len(every)
+            halved += 1
+    assert halved > 0
+    for G in (nx.path_graph(range(1, 8)), nx.cycle_graph(range(1, 8))):
+        assert list(rotation_systems(G, one_per_mirror_pair=True)) == \
+            list(_reference_rotation_systems(G)) == [tuple(
+                tuple(sorted(G[v])) for v in range(1, 8))]
+
+
+def test_bounded_encode_returns_only_codes_below_the_bound():
+    """_encode with a bound, a code of the same graph from another start,
+    returns None exactly when the full code is not below the bound, and
+    the full code otherwise: on random starts, in the graph and its mirror,
+    of every graph with n <= 8 and of a 4 x 31 grid (n = 124, word code)."""
+    rng = random.Random(22)
+    outcomes = collections.Counter()
+    for g in (*(g for g in enumerate_graphs(8) if g.m), instances.grid(4, 31)):
+        rots = (g.rotation, oracle._mirror(g.rotation))
+        darts = [(r, u, v) for r in rots for u in g.vertices() for v in r[u - 1]]
+        for _ in range(4 if g.n < 124 else 200):
+            a, b = rng.choice(darts), rng.choice(darts)
+            bound, full = oracle._encode(*a), oracle._encode(*b)
+            got = oracle._encode(*b, bound)
+            assert got == (None if full >= bound else full)
+            assert oracle._encode(*b, full) is None
+            outcomes[(g.n >= 124, (full > bound) - (full < bound))] += 1
+    assert set(outcomes) == {(w, c) for w in (False, True) for c in (-1, 0, 1)}
+
+
 def test_mirror_pair_emits_once():
     star = nx.star_graph([1, 2, 3, 4])
     assert list(rotation_systems(star)) == [((2, 3, 4), (1,), (1,), (1,)),

@@ -19,6 +19,17 @@ def hexagon_with_chord():
                        5: (6, 4), 6: (1, 5)}, (1, 2))
 
 
+@pytest.mark.parametrize("rotation,message", [
+    (((2,), (1, 3, 7), (2, 0)), "neighbour 7 of 2 out of range 1..3"),
+    (((0, 2), (1, 4)), "neighbour 0 of 1 out of range 1..2"),
+    (((), (3,), (2, -1)), "neighbour -1 of 3 out of range 1..3"),
+    (((2,), (1, 3), (2, 4)), "neighbour 4 of 3 out of range 1..3"),
+])
+def test_constructor_names_the_first_neighbour_out_of_range(rotation, message):
+    with pytest.raises(PlaneGraphError, match=message):
+        PlaneGraph(rotation, (1, 2))
+
+
 def test_validate_c4_passes():
     assert validate(cycle_graph(4)).ok
 
