@@ -309,6 +309,15 @@ def _deg2_inner_face(c: Configuration, v: int, expect_len: int) -> tuple[int, ..
     return face
 
 
+def _may_split_at(c: Configuration, v: int, ends: tuple[int, int]) -> bool:
+    """Whether v has a neighbour on c's boundary outside ends.  Without one,
+    a reduced configuration whose walk is c's with the dropped path vertices
+    replaced by v, and whose path meets v between ends, has no chord at v
+    for ``_oplus_split`` to split along."""
+    bset = c.graph.boundary_vertices
+    return any(t in bset and t not in ends for t in c.graph.neighbors(v))
+
+
 def _reduced_config(c: Configuration, drop: tuple[int, ...],
                     new_path: tuple[int, int, int, int]):
     """Delete matched degree-2 path vertices; returns (config, piece) or None."""
@@ -404,6 +413,8 @@ def _match_ohat(c: Configuration) -> Derivation | None:
     if face is None or not {x, y, z} <= set(face):
         return None
     (u,) = set(face) - {x, y, z}
+    if not _may_split_at(c, u, (x, z)):
+        return None
     reduced = _reduced_config(c, drop=(y,), new_path=(w, x, u, z))
     if reduced is None:
         return None
@@ -430,6 +441,8 @@ def _match_p2(c: Configuration) -> Derivation | None:
     if not {w, x, y, z} <= set(face):
         return None
     (v5,) = set(face) - {w, x, y, z}
+    if not _may_split_at(c, v5, (w, z)):
+        return None
     try:
         wm = g.boundary_pred(w)
     except PlaneGraphError:
@@ -596,39 +609,19 @@ def contains_special(g: PlaneGraph, pattern: str,
         raise PlaneGraphError("containment test requires no separating 4-/5-cycles")
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
+    family = R_TAGS if pattern[0] == "R" else P_TAGS
+    p = (w, x, y, z) if pattern in ("R(xyz)", "P(wxyz)") else (z, y, x, w)
     blen = len(walk)
-    if blen < g.n:
+    if blen < g.n and blen in (4, 5):
+        leaf = "R1" if blen == 4 else "P1"
+        if leaf not in family:
+            return None
         on_walk = walk.edge_set
-
-        def cycle_only(a: int, b: int) -> bool:
-            return und(a, b) in on_walk
-
-        if blen == 4:
-            if pattern in ("R(xyz)", "R(yxw)"):
-                boundary = extract_piece(g, walk.vertex_set, keep_edge=cycle_only,
-                                         outer_parent_edge=g.outer)
-                cm = boundary.child_of
-                p = (w, x, y, z) if pattern == "R(xyz)" else (z, y, x, w)
-                return Derivation(tag="R1", config=Configuration(
-                    boundary.graph, tuple(cm[q] for q in p)))
-            return None
-        if blen == 5:
-            if pattern in ("P(wxyz)", "P(zyxw)"):
-                boundary = extract_piece(g, walk.vertex_set, keep_edge=cycle_only,
-                                         outer_parent_edge=g.outer)
-                cm = boundary.child_of
-                p = (w, x, y, z) if pattern == "P(wxyz)" else (z, y, x, w)
-                return Derivation(tag="P1", config=Configuration(
-                    boundary.graph, tuple(cm[q] for q in p)))
-            return None
-    if pattern == "R(xyz)":
-        d = recognize(Configuration(g, (w, x, y, z)))
-        return d if d is not None and d.in_R() else None
-    if pattern == "P(wxyz)":
-        d = recognize(Configuration(g, (w, x, y, z)))
-        return d if d is not None and d.in_P() else None
-    if pattern == "R(yxw)":
-        d = recognize(Configuration(g, (z, y, x, w)))
-        return d if d is not None and d.in_R() else None
-    d = recognize(Configuration(g, (z, y, x, w)))
-    return d if d is not None and d.in_P() else None
+        boundary = extract_piece(g, walk.vertex_set,
+                                 keep_edge=lambda a, b: und(a, b) in on_walk,
+                                 outer_parent_edge=g.outer)
+        cm = boundary.child_of
+        return Derivation(tag=leaf, config=Configuration(
+            boundary.graph, tuple(cm[q] for q in p)))
+    d = recognize(Configuration(g, p))
+    return d if d is not None and d.tag in family else None

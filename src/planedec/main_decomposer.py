@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Literal, Sequence
 
-from .config_algebra import (Configuration, Derivation, full_reverse,
-                             recognize, recognize_reversed)
+from .config_algebra import (P_TAGS, R_TAGS, Configuration, Derivation,
+                             full_reverse, recognize, recognize_reversed)
 from .decomposition import (ConstraintSpec, Decomposition,
                             MatchedPartnerOnBoundary, _block_outer_edge, und,
                             verify, verify_21)
@@ -265,22 +265,32 @@ def _centre_chord(piece: Piece, x: int, y: int) -> bool:
                for a, b in piece.graph.boundary_chords)
 
 
-def _special_or_m2(piece: Piece, path: Sequence[int], caps: str, label: str,
-                   trace: CaseTrace) -> Decomposition:
-    """A G~ clause (caps such as 1002,0000) for a chordless piece on a path
-    in parent ids.  A family member takes its own construction; when only
-    the full reverse is a member, the reverse's construction for the caps
-    read backwards serves; otherwise goal M2 gives (1001,0000), within any
-    G~ clause."""
-    sub = _sub_config(piece, path)
-    d = _recognize(sub, trace)
-    if d is None:
-        d = _recognize(sub, trace, reverse=True)
-        caps = ",".join(half[::-1] for half in caps.split(","))
-    if d is None:
-        return piece.lift(_recurse(sub, "M2", trace))
-    trace.add("SpecialFamily", f"{label} {d.tag}")
-    return piece.lift(decompose_special(d, ClauseRequest(caps)))
+Menu = Sequence[tuple[bool, Collection[str], ClauseRequest]]
+
+
+def _special_or(piece: Piece, sub: Configuration, menu: Menu, goal: Goal,
+                label: str, trace: CaseTrace) -> Decomposition:
+    """The piece's decomposition in parent ids, sub being the piece as a
+    configuration.  The first menu entry (reversed, families, clause) whose
+    recognition of sub, read backwards if reversed is set, has a tag in
+    families gives that member's construction for the clause, traced under
+    the label; with none, the recursion for the goal."""
+    for reverse, families, clause in menu:
+        d = _recognize(sub, trace, reverse)
+        if d is not None and d.tag in families:
+            trace.add("SpecialFamily", f"{label} {d.tag}")
+            return piece.lift(decompose_special(d, clause))
+    return piece.lift(_recurse(sub, goal, trace))
+
+
+def _either_way(caps: str) -> Menu:
+    """The menu of a G~ clause (caps such as 1002,0000) for a chordless
+    piece: a member's own construction, else the full reverse's for the
+    caps read backwards.  Goal M2, the fallback, gives (1001,0000), within
+    any G~ clause."""
+    every = (*R_TAGS, "Q", *P_TAGS)
+    back = ",".join(half[::-1] for half in caps.split(","))
+    return ((False, every, ClauseRequest(caps)), (True, every, ClauseRequest(back)))
 
 
 def _search(cfg: Configuration, piece: Piece, named: dict[int, int],
@@ -439,45 +449,38 @@ def _bridge_piece_dec(piece: Piece, a: int, b: int,
     else:
         hp = extract_piece(k, hv, outer_parent_edge=_block_outer_edge(k, hv))
         hdec = _solve(hp, walk_quad(hp, ca, cb), "M0", trace)
-    parts = [hdec]
+    parts, arcs = _bridges(k, hv, {}, trace)
+    return piece.lift(hdec.union(*parts).adjust(add_arcs=arcs))
+
+
+def _bridges(g: PlaneGraph, hverts: frozenset[int], ends: dict[int, int],
+             trace: CaseTrace) -> tuple[list[Decomposition], list[Edge]]:
+    """Every bridge of the block H on hverts, peeled at its attachment u and
+    decomposed by ``_bridge_piece_dec`` without an edge u-v, and the arcs
+    (v, u) that cover those edges.  v is the key of ends that the bridge
+    holds, which must attach at the key's value; with none, v is u's
+    successor on the bridge's boundary walk."""
+    parts: list[Decomposition] = []
     arcs: list[Edge] = []
-    for (u, kv) in _bridges_of_block(k, hv):
-        bridge = peel_piece(k, kv, u)
-        v = _bridge_partner(bridge, u)
+    for (u, kv) in _bridges_of_block(g, hverts):
+        bridge = peel_piece(g, kv, u)
+        v = next((e for e in ends if e in kv and e != u), None)
+        if v is None:
+            walk = bridge.graph.boundary_walk.vertices
+            i = walk.index(bridge.child_of[u])
+            v = bridge.parent_of(walk[(i + 1) % len(walk)])
+        else:
+            assert u == ends[v], f"the bridge holding {v} must attach at {ends[v]}"
         parts.append(_bridge_piece_dec(bridge, u, v, trace))
         arcs.append((v, u))
-    return piece.lift(parts[0].union(*parts[1:]).adjust(add_arcs=arcs))
-
-
-def _bridge_partner(piece: Piece, u: int) -> int:
-    """u's boundary-walk successor inside the peeled bridge (parent ids)."""
-    k = piece.graph
-    cu = piece.child_of[u]
-    walk = k.boundary_walk.vertices
-    i = walk.index(cu)
-    return piece.parent_of(walk[(i + 1) % len(walk)])
+    return parts, arcs
 
 
 def _claim2(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
     g = cfg.graph
     w, x, y, z = cfg.path
     hverts = g.block_decomposition.block_of_edge(x, y)
-    bridges = _bridges_of_block(g, hverts)
-
-    bridge_parts: list[Decomposition] = []
-    bridge_arcs: list[Edge] = []
-    for (u, kv) in bridges:
-        piece = peel_piece(g, kv, u)
-        if w in kv and w != u:
-            v = w
-            assert u == x, "the bridge holding w must attach at x"
-        elif z in kv and z != u:
-            v = z
-            assert u == y, "the bridge holding z must attach at y"
-        else:
-            v = _bridge_partner(piece, u)
-        bridge_parts.append(_bridge_piece_dec(piece, u, v, trace))
-        bridge_arcs.append((v, u))
+    bridge_parts, bridge_arcs = _bridges(g, hverts, {w: x, z: y}, trace)
 
     w_in = w in hverts
     z_in = z in hverts
@@ -505,8 +508,7 @@ def _claim2(cfg: Configuration, goal: Goal, trace: CaseTrace) -> Decomposition:
             quad = (hp.pred(x), x, y, hp.succ(y))
             hgoal = "M1" if goal == "M1" else "M0"
         hdec = _solve(hp, quad, hgoal, trace)
-    dec = hdec.union(*bridge_parts) if bridge_parts else hdec
-    return dec.adjust(add_arcs=bridge_arcs)
+    return hdec.union(*bridge_parts).adjust(add_arcs=bridge_arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +753,8 @@ def _case2_m1(cfg: Configuration, pieces: tuple[Piece, Piece, int],
     if _centre_chord(g1p, x, y):
         d1 = _solve(g1p, (w, x, y, t), "M1", trace)
     else:
-        d1 = _special_or_m2(g1p, (w, x, y, t), "1002,0000", "claim4", trace)
+        d1 = _special_or(g1p, _sub_config(g1p, (w, x, y, t)),
+                         _either_way("1002,0000"), "M2", "claim4", trace)
     return d1.union(d2).adjust(add_arcs=[(z, y)])
 
 
@@ -960,12 +963,13 @@ def _claim7_split(cfg: Configuration, u: int, fan: list[int],
     w, x, y, z = cfg.path
     i, piece, sub = found
     xi, xi1, xr = fan[i], fan[i + 1], fan[-1]
-    if xi == y:
-        # the piece holds z as its first path vertex; z must stay unmatched
-        d_i = _claim7_g0(sub, trace)
-    else:
-        d_i = _recurse(sub, "M3", trace)
-    parts = [piece.lift(d_i)]
+    # at y the piece holds z as its first path vertex, which must stay
+    # unmatched and point only at the second (the goal's z-side caps)
+    g0: Menu = ((False, P_TAGS, ClauseRequest("1001,0001", "zz+")),
+                (True, R_TAGS, ClauseRequest("1001,1100")),
+                (True, P_TAGS, ClauseRequest("1001,1000", "w-w")))
+    parts = [_special_or(piece, sub, g0 if xi == y else (),
+                         "M2" if xi == y else "M3", "claim7 g0", trace)]
     if xi1 != xr:
         lp = _region(g, xi1, xr, u)
         parts.append(_solve(lp, (xi1, u, xr, lp.pred(xr)), "M0", trace))
@@ -974,7 +978,8 @@ def _claim7_split(cfg: Configuration, u: int, fan: list[int],
         parts.append(_solve(rp, (u, y, z, rp.succ(z)), "M0", trace))
     # top piece: (1002,0000) by the chord-free case analysis
     tp = _region(g, xr, y, u)
-    dt = _special_or_m2(tp, (w, x, y, u), "1002,0000", "claim7 top", trace)
+    dt = _special_or(tp, _sub_config(tp, (w, x, y, u)), _either_way("1002,0000"),
+                     "M2", "claim7 top", trace)
     rest = parts[0].union(*parts[1:]).adjust(add_arcs=[(z, y)])
     # with no left part both the fan piece and the top cover u-x_r
     return _glue(cfg, [(dt, rest)], und(u, xr) if xi1 == xr else None, trace)
@@ -1012,23 +1017,6 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
     return dec.adjust(add_arcs=[(z, y)])
 
 
-def _claim7_g0(sub: Configuration, trace: CaseTrace) -> Decomposition:
-    """The fan piece at the z end: a decomposition with the first path vertex
-    unmatched and pointing only at the second (the goal's z-side caps)."""
-    df = _recognize(sub, trace)
-    if df is not None and df.in_P():
-        trace.add("SpecialFamily", f"claim7 g0 {df.tag}")
-        return decompose_special(df, ClauseRequest("1001,0001", "zz+"))
-    dr = _recognize(sub, trace, reverse=True)
-    if dr is not None and dr.in_R():
-        trace.add("SpecialFamily", f"claim7 g0 {dr.tag}")
-        return decompose_special(dr, ClauseRequest("1001,1100"))
-    if dr is not None and dr.in_P():
-        trace.add("SpecialFamily", f"claim7 g0 {dr.tag}")
-        return decompose_special(dr, ClauseRequest("1001,1000", "w-w"))
-    return _recurse(sub, "M2", trace)
-
-
 def _claim7_p2_shifted(cfg: Configuration, u: int, trace: CaseTrace
                        ) -> Decomposition:
     """|C_r| = 5: the configuration (g, y x w w-) is a P2 member and the
@@ -1061,7 +1049,9 @@ def _claim7_top(cfg: Configuration, u: int, fan: list[int], trace: CaseTrace
         w_clauses = [ClauseRequest("1001,0011", "yz"), ClauseRequest("1011,0000")]
     # top piece
     tp = _region(g, xr, y, u)
-    dt = tp.lift(_claim7_top_0001(_sub_config(tp, (w, x, y, u)), trace))
+    dt = _special_or(tp, _sub_config(tp, (w, x, y, u)),
+                     ((False, ("R2", "P2", "P3"), ClauseRequest("1001,0001", "zz+")),),
+                     "M2", "claim7", trace)
     pairs = ((dt, wp.lift(decompose_special(qd, wcl))) for wcl in w_clauses)
     return _glue(cfg, pairs, und(u, xr), trace)
 
@@ -1117,14 +1107,6 @@ def _dedup_shared_edge(primary: Decomposition, secondary: Decomposition,
             secondary = secondary.adjust(
                 drop_arcs=[a for a in secondary.arcs if und(*a) == edge])
     return primary.union(secondary)
-
-
-def _claim7_top_0001(sub: Configuration, trace: CaseTrace) -> Decomposition:
-    df = _recognize(sub, trace)
-    if df is not None and df.tag in ("R2", "P2", "P3"):
-        trace.add("SpecialFamily", f"claim7 {df.tag}")
-        return decompose_special(df, ClauseRequest("1001,0001", "zz+"))
-    return _recurse(sub, "M2", trace)
 
 
 # ---------------------------------------------------------------------------
@@ -1274,46 +1256,23 @@ def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     return dprime.adjust(add_arcs=arcs + cross, add_matching=[(u_, v_)])
 
 
-def _anchored_0000(cfg: Configuration, piece: Piece, trace: CaseTrace,
-                   reserved: dict[int, int] | None = None) -> Decomposition:
-    """(1001,0000)-style decomposition of a reduced piece on (w, x, y, y+),
-    in parent ids.  reserved maps parent ids to out-degree budget already
-    committed outside the piece (cross arcs to be added).  An exhaustive
-    search under the final caps takes over when the piece falls apart (the
-    recursion needs a connected graph), when y dangles in the piece (its
-    boundary run was cut away, so there is no fourth path vertex) or when
-    the piece holds a special member (the recursion's precondition fails).
-    Every other error of the recursion is a fault and propagates."""
-    w, x, y, _ = cfg.path
-    try:
-        path = (w, x, y, piece.succ(y)) if piece.graph.is_connected() else None
-    except PlaneGraphError:
-        path = None
-    if path is not None:
+def _obs_0000(cfg: Configuration, piece: Piece, path: Sequence[int] | None,
+              cross: Iterable[Edge], trace: CaseTrace) -> Decomposition:
+    """(1001,0000) for the G'' of a claim on cfg, in parent ids: the
+    recursion on path, relaxed iff the centre has chords (the obs-0000
+    route).  An exhaustive search under the final caps takes over, with the
+    budget of the cross arcs that the caller adds out of the piece
+    reserved, when there is no path (y dangles: its boundary run was cut
+    away), when the piece falls apart (the recursion needs a connected
+    graph) or when the piece holds a special member (the recursion's
+    precondition fails).  Every other error of the recursion is a fault
+    and propagates."""
+    if path is not None and piece.graph.is_connected():
+        goal: Goal = "M1" if _centre_chord(piece, path[1], path[2]) else "M2"
         try:
-            return _obs_0000(piece, path, trace)
+            return _solve(piece, path, goal, trace)
         except PreconditionError:
             pass
-    return _search(cfg, piece, {w: 1, x: 0, y: 0}, cfg.graph.boundary_vertices,
-                   {und(x, y)}, "anchored-0000", trace, reserved=reserved)
-
-
-def _obs_0000(piece: Piece, path: Sequence[int], trace: CaseTrace
-              ) -> Decomposition:
-    """(1001,0000) for a piece on a path in parent ids, relaxed iff the
-    centre has chords (the obs-0000 route)."""
-    goal: Goal = "M1" if _centre_chord(piece, path[1], path[2]) else "M2"
-    return _solve(piece, path, goal, trace)
-
-
-def _obs_0000_or_search(cfg: Configuration, piece: Piece, cross: list[Edge],
-                        trace: CaseTrace) -> Decomposition:
-    """(1001,0000) for the G'' of Claim 10 or of the final step on cfg's
-    path.  A G'' that falls apart cannot recurse, so it goes to the
-    exhaustive search under the final caps instead, with the budget of the
-    cross arcs it sends out of the piece reserved, as in _anchored_0000."""
-    if piece.graph.is_connected():
-        return _obs_0000(piece, cfg.path, trace)
     w, x, y, _ = cfg.path
     return _search(cfg, piece, {w: 1, x: 0, y: 0}, cfg.graph.boundary_vertices,
                    {und(x, y)}, "anchored-0000", trace,
@@ -1340,13 +1299,14 @@ def _claim9(cfg: Configuration, seq: list[int], i: int, j: int,
     wjm, wjp = seq[j - 1], seq[j + 1]
     gp = _region(g, wjp, wim, wi, wj)
     g2 = _region(g, wip, wjm, wj, wi)
-    dprime = _obs_0000(gp, cfg.path, trace)
+    dprime = _obs_0000(cfg, gp, cfg.path, (), trace)
     di, dj = _milestone_fans(_region(g, wim, wip, wi), _region(g, wjm, wjp, wj),
                              seq, i, j, trace)
     # directed-path dichotomy on G''; it covers either orientation of the
     # chord wi-wj in D', so wi and wj keep their names
     caps = "1011,0000" if _reaches(dprime, wi, wj) else "1101,0000"
-    d2 = _special_or_m2(g2, (wjm, wj, wi, wip), caps, "claim9", trace)
+    d2 = _special_or(g2, _sub_config(g2, (wjm, wj, wi, wip)), _either_way(caps),
+                     "M2", "claim9", trace)
     return dprime.union(d2, di, dj)
 
 
@@ -1381,7 +1341,7 @@ def _claim10(cfg: Configuration, seq: list[int], i: int, j: int,
     piece = extract_piece(g, set(g.vertices()) - owned - set(run),
                           outer_parent_edge=(x, y))
     cross = _arcs_into(g, piece, set(run))
-    dpp = _obs_0000_or_search(cfg, piece, cross, trace)
+    dpp = _obs_0000(cfg, piece, cfg.path, cross, trace)
     di, dj = _milestone_fans(gi, gj, seq, i, j, trace)
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
     return dpp.union(di, dj).adjust(add_arcs=path_arcs + cross)
@@ -1408,8 +1368,11 @@ def _claim11(cfg: Configuration, seq: list[int], i: int, trace: CaseTrace
     gpp_verts = set(g.vertices()) - (set(gi.to_parent) - {wim, wi, wip}) - run_set0
     piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
     cross = [a for a in _arcs_into(g, piece, run_set0) if a != (y, z)]
-    reserved = Counter(p for p, _ in cross)
-    dpp = _anchored_0000(cfg, piece, trace, reserved=reserved)
+    try:
+        path = (w, x, y, piece.succ(y))
+    except PlaneGraphError:
+        path = None
+    dpp = _obs_0000(cfg, piece, path, cross, trace)
     di = _solve(gi, (wim, wi, wip, gi.pred(wip)), "M0", trace)
     di = di.adjust(drop_arcs=[(wim, wi)])
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
@@ -1428,20 +1391,15 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
     piece = extract_piece(g, set(g.vertices()) - owned - {w4},
                           outer_parent_edge=(x, y))
     cross = _arcs_into(g, piece, {w4})
-    dpp = _obs_0000_or_search(cfg, piece, cross, trace)
+    dpp = _obs_0000(cfg, piece, cfg.path, cross, trace)
     if (z, w3) in dpp.arcs:
         # z's single permitted out-arc; safe to point it back at z
         dpp = dpp.adjust(drop_arcs=[(z, w3)], add_arcs=[(w3, z)])
     if (w3, z) not in dpp.arcs:
         raise CounterexampleError(cfg, "w3 cannot point at z in the final step")
     # G3 towards (z+ z w3 w4), needs (1011,1000)
-    sub3 = _sub_config(g3, (g.boundary_succ(z), z, w3, w4))
-    d3r = _recognize(sub3, trace)
-    if d3r is not None and d3r.in_R():
-        trace.add("SpecialFamily", f"final {d3r.tag}")
-        d3 = g3.lift(decompose_special(d3r, ClauseRequest("1011,0000")))
-    else:
-        d3 = g3.lift(_recurse(sub3, "M3", trace))
+    d3 = _special_or(g3, _sub_config(g3, (g.boundary_succ(z), z, w3, w4)),
+                     ((False, R_TAGS, ClauseRequest("1011,0000")),), "M3", "final", trace)
     d5 = _solve(g5, (g5.pred(w6), w6, w5, w4), "M0", trace)
     if (w4, w5) not in d5.arcs:
         raise CounterexampleError(cfg, "expected forced arc (w4, w5)")

@@ -213,6 +213,32 @@ def test_recognition_derivations_frozen():
     assert h.hexdigest() == RECOGNITION_DIGEST
 
 
+def test_reduced_pieces_only_where_a_chord_can_split(monkeypatch):
+    """The ohat and P2 probes build a reduced piece only when its new third
+    vertex has a neighbour on the boundary off the path, on every
+    configuration with n <= 8 read in both path directions and on every
+    family member with n <= 10: without one, the piece has no chord at that
+    vertex for _oplus_split to split along."""
+    built = []
+    reduced = config_algebra._reduced_config
+
+    def checked(c, drop, new_path):
+        _, a, v, b = new_path
+        bset = c.graph.boundary_vertices
+        assert any(t in bset and t not in (a, b) for t in c.graph.neighbors(v))
+        built.append(drop)
+        return reduced(c, drop, new_path)
+
+    monkeypatch.setattr(config_algebra, "_reduced_config", checked)
+    for g in enumerate_graphs(8):
+        for quad in enumerate_configurations(g):
+            for path in (quad, quad[::-1]):
+                recognize(Configuration(g, path))
+    for d in generate_family(10):
+        recognize(d.config)
+    assert {len(drop) for drop in built} == {1, 2}
+
+
 def test_recognize_reversed_equals_recognizing_the_mirror(monkeypatch):
     """recognize_reversed(c) gives the derivation recognize(full_reverse(c))
     gives, on every configuration with n <= 7 read in both path directions

@@ -198,7 +198,7 @@ def test_ladder_2x1000_decomposes_without_deep_recursion():
 
 # (seed, k, share) of bench_grid_subgraph: plain backtracking over the edges
 # left by _claim_xuz ran past 5 s of CPU on the first 13, and the last 6 hit
-# a 24-edge cap on the search in _anchored_0000 or Claim 7's patch search
+# a 24-edge cap on the search in the G'' step or Claim 7's patch search
 FORMER_SEARCH_FAILURES = [
     (1, 10, .1), (2, 8, .1), (4, 9, .4), (5, 7, .25), (5, 9, .25),
     (6, 8, .25), (6, 10, .1), (6, 10, .25), (7, 10, .25), (8, 9, .1),
@@ -273,19 +273,28 @@ def test_large_ops_with_the_claim7_wrong_assembly(seed, k, share, i):
 
 @pytest.mark.parametrize("error", [CounterexampleError, PreconditionError])
 def test_anchored_0000_searches_only_on_a_failed_precondition(monkeypatch, error):
-    """On this grid subgraph Claim 11's piece asks _obs_0000 once.  A
-    failed precondition there falls to the search; a fault propagates."""
+    """On this grid subgraph Claim 11's G'' asks the G'' step once.  When
+    the step's recursion fails its precondition, the step falls to the
+    search; a fault propagates."""
     g = instances.bench_grid_subgraph(7, 5, .4)
     calls = []
+    step, solve = main_decomposer._obs_0000, main_decomposer._solve
 
-    def failing(piece, path, trace):
-        calls.append(path)
+    def failing(piece, path, goal, trace):
         if error is PreconditionError:
-            raise PreconditionError("M2", "special containment present")
+            raise PreconditionError(goal, "special containment present")
         raise CounterexampleError(main_decomposer._sub_config(piece, path),
-                                  "assembled decomposition violates M2")
+                                  f"assembled decomposition violates {goal}")
 
-    monkeypatch.setattr(main_decomposer, "_obs_0000", failing)
+    def asked(cfg, piece, path, cross, trace):
+        calls.append(path)
+        monkeypatch.setattr(main_decomposer, "_solve", failing)
+        try:
+            return step(cfg, piece, path, cross, trace)
+        finally:
+            monkeypatch.setattr(main_decomposer, "_solve", solve)
+
+    monkeypatch.setattr(main_decomposer, "_obs_0000", asked)
     if error is CounterexampleError:
         with pytest.raises(CounterexampleError):
             decompose_21(g)
@@ -294,6 +303,26 @@ def test_anchored_0000_searches_only_on_a_failed_precondition(monkeypatch, error
         assert ("Tiny", "anchored-0000 n=12") in trace.entries
         assert verify_21(g, dec).ok
     assert len(calls) == 1
+
+
+def test_anchored_0000_on_a_piece_that_falls_apart():
+    """The G'' step given a path, as Claims 9 and 10 call it, on a piece
+    that falls apart: the 8-cycle 1-8 on the path (1, 2, 3, 4) and the path
+    10 11 12, both joined to 9, which is cut away.  The search decomposes the piece with
+    the cross arcs into s reserved, and with them it meets goal M2."""
+    g = PlaneGraph(((2, 8), (3, 1), (4, 2), (5, 3), (6, 4), (5, 9, 7), (8, 6),
+                    (1, 7), (6, 10, 12), (11, 9), (12, 10), (9, 11)), (1, 2))
+    cfg = Configuration(g, (1, 2, 3, 4))
+    s = 9
+    piece = main_decomposer.extract_piece(g, set(g.vertices()) - {s},
+                                          outer_parent_edge=(2, 3))
+    assert not piece.graph.is_connected()
+    cross = main_decomposer._arcs_into(g, piece, {s})
+    trace = CaseTrace()
+    dec = main_decomposer._obs_0000(cfg, piece, cfg.path, cross, trace)
+    assert trace.entries == [("Tiny", "anchored-0000 n=11")]
+    assert verify(g, cfg.path, goal_spec("M2", cfg),
+                  dec.adjust(add_arcs=cross)).ok
 
 
 class _OverBudget(Exception):
