@@ -27,11 +27,14 @@ its parent already knows, wherever the parent has computed it:
   boundary chords and 2-chords, and its boundary walk is the parent's read
   backwards from the outer edge.
 
-One flood answers every question of which side of a cycle C something lies
-on: ``inside_darts`` floods the inside of C only, and Int(C), Ext(C) and the
-vertices strictly inside or outside C are all read off its darts.  It tells
-the inside from the outside by which side holds the outer edge, so it needs
-a connected graph.
+One kernel answers every question of which side of a cycle C something
+lies on: ``cycle_sides`` splits the rotation of each vertex of C into its
+two sides, tells the outside by a dart of the outer walk that leaves C
+(or, when the walk misses C, by which of two lockstep vertex
+floods reaches the walk first), and floods the vertices inside C only.
+Int(C), Ext(C) and the separating-cycle verdict are all read off it, and
+Int(C) is born knowing its boundary walk (C itself) and its boundary chords
+(those inside C).  It needs a connected graph.
 """
 
 from __future__ import annotations
@@ -385,7 +388,7 @@ class PlaneGraph:
             if _bounds_face(self, cyc):
                 continue
             # every vertex off C and not strictly inside is strictly outside
-            inner = _strictly_inside(cyc, inside_darts(self, cyc)[0])
+            inner = cycle_sides(self, cyc)[0]
             if inner and len(inner) + len(cyc) < self.n:
                 return cyc
         return None
@@ -570,85 +573,124 @@ def extract_piece(g: PlaneGraph, vertices: Iterable[int],
     return Piece(graph=piece, to_parent=tuple(verts))
 
 
-def _side_darts(g: PlaneGraph, cycle_edges: set[Edge], seed: Edge,
-                seen: set[Edge]) -> Iterator[Edge]:
-    """Yield the darts reachable from seed without crossing the cycle, seed
-    first, adding each to seen as it is yielded: a dart steps to the next
-    dart of its face, and to its reversal unless its edge is on the cycle.
-    All darts of a face land on the same side."""
-    seen.add(seed)
-    yield seed
-    stack = [seed]
-    while stack:
-        u, v = stack.pop()
-        d = g.face_next(u, v)
-        if d not in seen:
-            seen.add(d)
-            stack.append(d)
-            yield d
-        d = (v, u)
-        if d not in seen and und(u, v) not in cycle_edges:
-            seen.add(d)
-            stack.append(d)
-            yield d
+def cycle_sides(g: PlaneGraph, cycle: Sequence[int]
+                ) -> tuple[set[int], tuple[int, ...], set[Edge], set[Edge]]:
+    """Where the cycle C = (c_0, ..., c_k-1) cuts g: the vertices strictly
+    inside C, C read from the dart of its first edge that faces outside
+    (as Int(C) walks it), and the chords of C drawn inside and outside it.
 
-
-def inside_darts(g: PlaneGraph, cycle: Sequence[int]) -> tuple[set[Edge], Edge]:
-    """The darts inside the cycle C, and the dart of C's first edge that
-    faces outside.
-
-    g must be connected.  Only the inside is flooded: the two darts of the
-    first cycle edge seed one flood per side, run in lockstep.  The side
-    that meets ``g.outer`` is the outside; the other side is flooded to its
-    end.  A vertex off C has all its darts on one side of C.
+    g must be connected.  At each c_i, the neighbours clockwise after c_i-1
+    and before c_i+1 lie on the right of C read forwards (the side of the
+    faces of its darts (c_i, c_i+1)), and those after c_i+1 and before c_i-1
+    on its left.  The outer face lies outside C, so any dart of the outer
+    walk that leaves a vertex of C names the outside, whether it runs along
+    C or into one of the two intervals; the first vertex of C on the walk
+    gives one.  A walk that misses C lies strictly outside it, and then
+    ``_lockstep`` tells the sides apart.  The inside is a vertex flood from
+    its intervals that never enters C.
     """
     k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
+    index = {c: i for i, c in enumerate(cycle)}
+    if k < 3 or len(index) != k:
         raise PlaneGraphError("not a cycle")
-    for i in range(k):
-        if not g.has_edge(cycle[i], cycle[(i + 1) % k]):
-            raise PlaneGraphError("not a cycle of g")
+    rot = g.rotation
+    right: list[tuple[int, ...]] = []
+    left: list[tuple[int, ...]] = []
+    prev = cycle[-1]
+    try:
+        for i, c in enumerate(cycle):
+            r = rot[c - 1]
+            p, q = r.index(prev), r.index(cycle[i + 1 - k])
+            if p < q:
+                right.append(r[p + 1:q])
+                left.append(r[q + 1:] + r[:p])
+            else:
+                right.append(r[p + 1:] + r[:q])
+                left.append(r[q + 1:p])
+            prev = c
+    except ValueError:
+        raise PlaneGraphError("not a cycle of g") from None
     if not g.is_connected():
         raise PlaneGraphError("the sides of a cycle need a connected graph")
-    cyc_edges = {und(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    seeds = ((cycle[0], cycle[1]), (cycle[1], cycle[0]))
-    sides: tuple[set[Edge], set[Edge]] = (set(), set())
-    floods = [_side_darts(g, cyc_edges, seeds[j], sides[j]) for j in (0, 1)]
-    inner = None
-    while inner is None:
+    walk = g.boundary_walk
+    pos = walk.position
+    t = next((pos[c] for c in cycle if c in pos), None)
+    if t is None:
+        outside_right = _lockstep(g, index, (right, left)) == 1
+    else:
+        vs = walk.vertices
+        i = index[vs[t]]
+        v = vs[t + 1 - len(vs)]  # the next walk vertex, wrapping around
+        outside_right = v == cycle[i + 1 - k] or v in right[i]
+    ins, outs = (left, right) if outside_right else (right, left)
+    inner: set[int] = set()
+    chords_in: set[Edge] = set()
+    for c, side in zip(cycle, ins):
+        for u in side:
+            if u in index:
+                chords_in.add(und(c, u))
+            else:
+                inner.add(u)
+    stack = list(inner)
+    while stack:
+        for u in rot[stack.pop() - 1]:
+            if u not in index and u not in inner:
+                inner.add(u)
+                stack.append(u)
+    chords_out = {und(c, u) for c, side in zip(cycle, outs) for u in side if u in index}
+    cyc = tuple(cycle)
+    return inner, cyc if outside_right else cyc[1::-1] + cyc[:1:-1], chords_in, chords_out
+
+
+def _lockstep(g: PlaneGraph, on_cycle: dict[int, int],
+              sides: tuple[list[tuple[int, ...]], list[tuple[int, ...]]]) -> int:
+    """Which of the two sides of a cycle C is inside (0 or 1), when the
+    outer walk misses C and so lies strictly outside it.  on_cycle holds
+    the vertices of C, and sides[j][i] the neighbours of c_i on side j.
+    One vertex flood per side runs in lockstep and never enters C: the first
+    to reach the walk is outside, and one that ends without reaching it is
+    inside."""
+    on_walk = g.boundary_vertices
+    stacks = tuple([u for nbrs in side for u in nbrs if u not in on_cycle]
+                   for side in sides)
+    seen = (set(stacks[0]), set(stacks[1]))
+    while True:
         for j in (0, 1):
-            d = next(floods[j], None)
-            if d == g.outer:
-                inner = 1 - j
-                break
-            if d is None:
-                # side j closed without meeting g.outer, which therefore
-                # lies on the other side (g is connected)
-                inner = j
-                break
-    for _ in floods[inner]:
-        pass
-    return sides[inner], seeds[1 - inner]
+            if not stacks[j]:
+                return j
+            v = stacks[j].pop()
+            if v in on_walk:
+                return 1 - j
+            for u in g.rotation[v - 1]:
+                if u not in on_cycle and u not in seen[j]:
+                    seen[j].add(u)
+                    stacks[j].append(u)
 
 
-def _strictly_inside(cycle: Sequence[int], inside: set[Edge]) -> set[int]:
-    """The vertices off the cycle with a dart inside it."""
-    return {u for u, _ in inside}.difference(cycle)
+def _without(edges: set[Edge]) -> "callable | None":
+    """An ``extract_piece`` edge filter that drops the given edges, or None
+    when there are none."""
+    if not edges:
+        return None
+    drop = edges | {(v, u) for u, v in edges}
+    return lambda u, v: (u, v) not in drop
 
 
-def _int_piece(g: PlaneGraph, inside: set[Edge], outer: Edge) -> Piece:
-    """Int(C) from the darts inside C: every vertex with a dart inside (C's
-    own vertices among them), every edge with a dart inside, and C's dart
-    outer facing outside as its outer edge."""
-
-    def keep(u: int, v: int) -> bool:
-        return (u, v) in inside or (v, u) in inside
-
-    piece = extract_piece(g, {u for u, _ in inside}, keep_edge=keep,
-                          outer_parent_edge=outer)
+def _int_piece(g: PlaneGraph, inner: set[int], walk: tuple[int, ...],
+               chords_in: set[Edge], chords_out: set[Edge]) -> Piece:
+    """Int(C) from ``cycle_sides``: C and the vertices strictly inside it,
+    every edge among them but the chords outside, and C's dart (walk[0],
+    walk[1]) facing outside as its outer edge.  It is born knowing its
+    boundary walk, C read from that dart, and its boundary chords, those
+    inside C."""
+    piece = extract_piece(g, inner.union(walk), keep_edge=_without(chords_out),
+                          outer_parent_edge=walk[:2])
+    h = piece.graph
+    cm = piece.child_of
+    h.__dict__["boundary_walk"] = FaceWalk(tuple(cm[c] for c in walk))
+    h.__dict__["boundary_chords"] = frozenset(und(cm[u], cm[v]) for u, v in chords_in)
     if "block_decomposition" in g.__dict__ and g.is_two_connected():
         # a cut vertex of Int(C) would cut g: what it cuts off lies inside C
-        h = piece.graph
         whole = frozenset(h.vertices())
         h.__dict__.update(components=(whole,), block_decomposition=BlockDecomposition(
             blocks=(whole,), cut_vertices=frozenset()))
@@ -658,21 +700,19 @@ def _int_piece(g: PlaneGraph, inside: set[Edge], outer: Edge) -> Piece:
 def int_subgraph(g: PlaneGraph, cycle: Sequence[int]) -> Piece:
     """Int(C): everything drawn inside or on the cycle, with C as boundary.
     g must be connected."""
-    return _int_piece(g, *inside_darts(g, cycle))
+    return _int_piece(g, *cycle_sides(g, cycle))
 
 
 def int_ext_subgraphs(g: PlaneGraph, cycle: Sequence[int]) -> tuple[Piece, Piece]:
-    """Int(C) and Ext(C) from one flood.  Ext(C) is everything drawn
-    outside or on the cycle: every vertex but those strictly inside, every
-    edge with a dart outside, and g's outer edge.  g must be connected."""
-    inside, outer = inside_darts(g, cycle)
-
-    def keep(u: int, v: int) -> bool:
-        return (u, v) not in inside or (v, u) not in inside
-
-    ext = extract_piece(g, set(g.vertices()) - _strictly_inside(cycle, inside),
-                        keep_edge=keep, outer_parent_edge=g.outer)
-    return _int_piece(g, inside, outer), ext
+    """Int(C) and Ext(C) from one ``cycle_sides``.  Ext(C) is everything
+    drawn outside or on the cycle: every vertex but those strictly inside,
+    every edge among them but the chords inside, and g's outer edge.  g must
+    be connected."""
+    sides = cycle_sides(g, cycle)
+    inner, _, chords_in, _ = sides
+    ext = extract_piece(g, set(g.vertices()) - inner, keep_edge=_without(chords_in),
+                        outer_parent_edge=g.outer)
+    return _int_piece(g, *sides), ext
 
 
 def component_pieces(g: PlaneGraph) -> list[Piece]:

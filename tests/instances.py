@@ -7,7 +7,7 @@ shape is hand-made.  ``grid``, ``subdivided_ladder`` and ``grid_subgraph``
 build grids, ladders and their relatives far beyond n = 9.  The
 ``reference_*`` functions are the whole-graph scans that the library
 replaced with cheaper ones, kept as their references: the face flood and
-the outside flood (``classify_darts_by_cycle``) behind ``inside_darts``,
+the outside flood (``classify_darts_by_cycle``) behind ``cycle_sides``,
 ``int_subgraph`` and Ext(C), the DFS behind ``small_cycles``, the three
 walk scans behind ``_walk_path``, the window sets behind the path checks,
 the per-vertex arc scans behind ``verify_21`` and ``defective_coloring``,
@@ -188,6 +188,14 @@ def stale_cache_entries(g: PlaneGraph) -> list[str]:
         if value != want:
             out.append(name)
     return out
+
+
+def same_piece(got: Piece, want: Piece) -> bool:
+    """Whether two pieces have the same rotations, outer edge and vertex
+    map."""
+    return (got.graph.rotation == want.graph.rotation
+            and got.graph.outer == want.graph.outer
+            and got.to_parent == want.to_parent)
 
 
 @functools.cache

@@ -4,8 +4,8 @@ import pytest
 
 from planedec import config_algebra
 from planedec.config_algebra import (Configuration, combine, contains_special,
-                                     full_reverse, generate_family, leaf_p1,
-                                     leaf_r1, recognize, recognize_reversed,
+                                     full_reverse, generate_family, leaf_r1,
+                                     recognize, recognize_reversed,
                                      reverse_view)
 from planedec.decomposition import path_orientation
 from planedec.oracle import (config_key, enumerate_configurations,

@@ -264,7 +264,7 @@ def test_verify_agrees_with_independent_reimplementation():
 
 def test_center_edge_readdition_lemma():
     """Adding the centre arc (x, y) preserves acyclicity when a3 = 0."""
-    from planedec.main_decomposer import decompose_config, goal_spec
+    from planedec.main_decomposer import decompose_config
     from planedec.config_algebra import Configuration
     for g in enumerate_graphs(6):
         for quad in enumerate_configurations(g):

@@ -7,7 +7,7 @@ import sys
 import networkx as nx
 import pytest
 
-from planedec import main_decomposer, plane_graph
+from planedec import config_algebra, main_decomposer, plane_graph
 from planedec.config_algebra import Configuration
 from planedec.decomposition import (ConstraintSpec, MatchedPartnerOnBoundary,
                                     VerifyReport, check_coloring,
@@ -21,8 +21,8 @@ from planedec.main_decomposer import (CaseTrace, CounterexampleError,
 from planedec.oracle import (brute_force, enumerate_configurations,
                              enumerate_graphs)
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, _bounds_face,
-                                  chords, cycle_graph, int_subgraph,
-                                  small_cycles, und)
+                                  chords, cycle_graph, int_ext_subgraphs,
+                                  int_subgraph, small_cycles, und)
 from planedec.sweeps import applicable_goals
 
 import instances
@@ -722,6 +722,65 @@ def test_inherited_caches_match_fresh_graphs(monkeypatch):
         decompose_21(g)
     assert len(children) > 10_000
     assert [g for g in children if instances.stale_cache_entries(g)] == []
+
+
+def _born_knowing_its_boundary(piece) -> bool:
+    """Whether Int(C) was built with its boundary walk and chords, and both
+    equal what a fresh graph traces."""
+    h = piece.graph
+    fresh = PlaneGraph(h.rotation, h.outer)
+    return (h.__dict__.get("boundary_walk") == fresh.boundary_walk
+            and h.__dict__.get("boundary_chords") == fresh.boundary_chords)
+
+
+def test_int_pieces_match_the_dart_classification(monkeypatch):
+    """Every Int(C) that ``_region`` and ``_oplus_split`` cut while the
+    large workload's seed-1 grids, ladders and grid subgraphs decompose, and
+    Int(C) and Ext(C) of every 4-/5-cycle of the FALLING_APART graphs and
+    of C4 x P6, equal the pieces of the whole-graph dart classification, and
+    each Int(C) is born with the boundary walk and chords that a fresh graph
+    traces.  Most 4-/5-cycles of these graphs miss the outer walk, so their
+    sides are told apart by the lockstep floods: the FALLING_APART graphs
+    are not bipartite, and C4 x P6 has separating 4-cycles.
+    """
+    cut = []
+
+    def recording(module):
+        real = module.int_subgraph
+
+        def wrapped(g, cycle):
+            piece = real(g, cycle)
+            cut.append((g, tuple(cycle), piece))
+            return piece
+
+        monkeypatch.setattr(module, "int_subgraph", wrapped)
+
+    recording(main_decomposer)
+    recording(config_algebra)
+    graphs = [*(instances.grid(k, k) for k in (*range(4, 14), 16)),
+              *(instances.grid(2, L) for L in (*range(10, 90, 10), 130)),
+              *(instances.grid(3, L) for L in (*range(4, 14), 15))]
+    graphs += [instances.bench_large_subgraph(1, k, share, i) for k in range(5, 11)
+               for share in (.1, .25, .4) for i in range(5)]
+    for g in graphs:
+        decompose_21(g)
+    monkeypatch.undo()
+    for g, cycle, piece in cut:
+        assert instances.same_piece(piece, instances.reference_int_subgraph(g, list(cycle)))
+        assert _born_knowing_its_boundary(piece), (g, cycle)
+    assert len(cut) > 2000
+    assert sum(bool(p.graph.boundary_chords) for _, _, p in cut) > 400
+    missed = separating = 0
+    graphs = [PlaneGraph(*g) for g in instances.FALLING_APART.values()]
+    for g in (*graphs, instances.nested_squares(6)):
+        for cycle in small_cycles(g):
+            ip, ep = int_ext_subgraphs(g, cycle)
+            assert instances.same_piece(ip, instances.reference_int_subgraph(g, list(cycle)))
+            assert instances.same_piece(ep, instances.reference_ext_subgraph(g, list(cycle)))
+            assert _born_knowing_its_boundary(ip)
+            missed += g.boundary_vertices.isdisjoint(cycle)
+            separating += min(ip.graph.n, ep.graph.n) > len(cycle)
+    assert missed > 50 and separating > 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from planedec.decomposition import Decomposition
 from planedec.oracle import enumerate_graphs
 from planedec.plane_graph import (PlaneGraph, PlaneGraphError, chords,
-                                  cycle_graph, extract_piece, inside_darts,
+                                  cycle_graph, cycle_sides, extract_piece,
                                   int_ext_subgraphs, int_subgraph, two_chords,
                                   und, validate)
 
@@ -295,20 +295,30 @@ def _test_cycles(g):
 
 
 def test_dart_classification_matches_face_flood():
-    """The inside flood holds exactly the darts of the faces that the
-    face-adjacency flood cannot reach from the outer face, and its outside
-    seed is a dart of the first cycle edge in a face it reaches, for every
+    """The inside of ``cycle_sides`` -- every dart at a vertex strictly
+    inside C, both darts of each chord inside, and each edge of C read
+    against the returned walk -- holds exactly the darts of the faces that
+    the face-adjacency flood cannot reach from the outer face.  The walk is C
+    from a dart of its first edge in a face the flood reaches, and the
+    chords outside are those with a dart in such a face.  Checked for every
     4-/5-cycle and every simple boundary cycle."""
     checked = 0
     for g in instances.face_test_graphs():
         for cyc in _test_cycles(g):
             k = len(cyc)
             edges = {und(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
-            inside, seed = inside_darts(g, cyc)
+            inner, walk, chords_in, chords_out = cycle_sides(g, cyc)
+            inside = {d for v in inner for u in g.neighbors(v) for d in ((v, u), (u, v))}
+            inside |= {d for u, v in chords_in for d in ((u, v), (v, u))}
+            inside |= {(walk[(i + 1) % k], walk[i]) for i in range(k)}
             face_of, out_faces = instances.reference_outside_faces(g, edges)
             assert inside == {d for d, f in face_of.items() if f not in out_faces}
-            assert seed in ((cyc[0], cyc[1]), (cyc[1], cyc[0]))
-            assert face_of[seed] in out_faces
+            assert walk[:2] in ((cyc[0], cyc[1]), (cyc[1], cyc[0]))
+            assert sorted(walk) == sorted(cyc)
+            assert face_of[walk[:2]] in out_faces
+            assert chords_out == {(u, v) for u, v in g.edges
+                                  if u in cyc and v in cyc and (u, v) not in edges
+                                  and face_of[(u, v)] in out_faces}
             checked += 1
     assert checked > 600
 
@@ -324,8 +334,8 @@ def test_ext_and_sides_match_face_flood():
             k = len(cyc)
             edges = {und(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
             ip, ep = int_ext_subgraphs(g, cyc)
-            assert _same_piece(ip, instances.reference_int_subgraph(g, cyc))
-            assert _same_piece(ep, instances.reference_ext_subgraph(g, cyc))
+            assert instances.same_piece(ip, instances.reference_int_subgraph(g, cyc))
+            assert instances.same_piece(ep, instances.reference_ext_subgraph(g, cyc))
             face_of, out_faces = instances.reference_outside_faces(g, edges)
             off = [v for v in g.vertices() if v not in cyc]
             inner = {v for v in off
@@ -339,12 +349,6 @@ def test_ext_and_sides_match_face_flood():
     assert checked > 600 and separating > 50
 
 
-def _same_piece(got, want):
-    return (got.graph.rotation == want.graph.rotation
-            and got.graph.outer == want.graph.outer
-            and got.to_parent == want.to_parent)
-
-
 def test_int_subgraph_matches_outside_flood():
     """The inside-only flood gives the piece of the whole-graph dart
     classification on every 4-/5-cycle, on both sides of every boundary
@@ -352,8 +356,8 @@ def test_int_subgraph_matches_outside_flood():
     cycles = chord_sides = 0
     for g in (*instances.face_test_graphs(), *instances.large_grids()):
         for cyc in instances.reference_small_cycles(g):
-            assert _same_piece(int_subgraph(g, cyc),
-                               instances.reference_int_subgraph(g, cyc))
+            assert instances.same_piece(int_subgraph(g, cyc),
+                                        instances.reference_int_subgraph(g, cyc))
             cycles += 1
         walk = g.boundary_walk
         if not walk.is_simple_cycle():
@@ -363,9 +367,30 @@ def test_int_subgraph_matches_outside_flood():
             sides += [walk.stretch(v, u), walk.stretch(u, v)]
             chord_sides += 2
         for cyc in sides:
-            assert _same_piece(int_subgraph(g, cyc),
-                               instances.reference_int_subgraph(g, cyc))
+            assert instances.same_piece(int_subgraph(g, cyc),
+                                        instances.reference_int_subgraph(g, cyc))
     assert cycles > 1000 and chord_sides > 200
+
+
+def test_sides_of_inner_faces_match_outside_flood():
+    """Int(C) and Ext(C) of every inner face bounded by a cycle, over the
+    graphs with n <= 8, are the pieces of the whole-graph dart
+    classification.  Such a C has nothing inside and every chord outside,
+    so Int(C) is C alone, born knowing that it has no chords, and Ext(C)
+    keeps the chords."""
+    faces = outside_chords = 0
+    for g in enumerate_graphs(8):
+        for i, face in enumerate(g.faces):
+            cyc = [u for u, _ in face]
+            if i == g.outer_face_id or len(set(cyc)) != len(cyc):
+                continue
+            ip, ep = int_ext_subgraphs(g, cyc)
+            assert instances.same_piece(ip, instances.reference_int_subgraph(g, cyc))
+            assert instances.same_piece(ep, instances.reference_ext_subgraph(g, cyc))
+            assert ip.graph.m == len(cyc) and ip.graph.boundary_chords == frozenset()
+            faces += 1
+            outside_chords += sum(u in cyc and v in cyc for u, v in g.edges) > len(cyc)
+    assert faces > 2000 and outside_chords > 100
 
 
 def test_int_subgraph_rejects_disconnected_graph():
@@ -374,6 +399,23 @@ def test_int_subgraph_rejects_disconnected_graph():
                    (1, 2))
     with pytest.raises(PlaneGraphError, match="connected"):
         int_subgraph(g, [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("graph,cycle,message", [
+    (cycle_graph(4), [1, 2, 1, 4], "not a cycle"),
+    (cycle_graph(4), [1, 2], "not a cycle"),
+    (cycle_graph(4), [1, 2, 3], "not a cycle of g"),
+    (cycle_graph(6), [1, 2, 3, 4], "not a cycle of g"),
+    (PlaneGraph({1: (2, 4), 2: (3, 1), 3: (4, 2), 4: (1, 3), 5: (6,), 6: (5,)},
+                (1, 2)), [1, 2, 3, 4], "the sides of a cycle need a connected graph"),
+])
+def test_int_subgraph_error_messages(graph, cycle, message):
+    """The three refusals, each with its exact message: a sequence that is
+    not a cycle, a cycle whose edges are not all in g, and a g that is not
+    connected."""
+    for split in (int_subgraph, int_ext_subgraphs):
+        with pytest.raises(PlaneGraphError, match=f"^{message}$"):
+            split(graph, cycle)
 
 
 MIRRORED = {"m", "edges", "components", "block_decomposition",
