@@ -125,10 +125,12 @@ def _region(g: PlaneGraph, a: int, b: int, *via: int) -> Piece:
 
 
 def peel_piece(g: PlaneGraph, verts: set[int], cut: int) -> Piece:
-    """Extract a bridge piece hanging at a single cut vertex.
+    """Extract the piece on verts, which holds cut: a bridge hanging at the
+    cut vertex, or a component of a G'' cut out at a vertex next to the
+    deleted boundary.
 
-    The piece's outer face is the one opened by the edges removed at the cut
-    vertex (the region holding the rest of the graph).
+    The piece's outer face is the one opened by the edges removed at cut
+    (the region holding the rest of the graph).
     """
     rot = g.neighbors(cut)
     k = len(rot)
@@ -294,17 +296,17 @@ def _either_way(caps: str) -> Menu:
 
 
 def _search(cfg: Configuration, piece: Piece, named: dict[int, int],
-            boundary: Collection[int], drop: Collection[Edge], label: str,
-            trace: CaseTrace, reserved: dict[int, int] | None = None
-            ) -> Decomposition:
+            drop: Collection[Edge], label: str, trace: CaseTrace,
+            reserved: dict[int, int] | None = None) -> Decomposition:
     """The exhaustive fallback on a piece of cfg's graph, in parent ids.
 
     A named vertex takes its given out-degree cap and stays unmatched; every
-    other vertex takes 1 on ``boundary`` and 2 elsewhere.  ``reserved``
+    other vertex takes 1 on cfg's boundary and 2 elsewhere.  ``reserved``
     takes off the budget already committed outside the piece.  The edges
     are the piece's edges but ``drop``, sorted."""
     tp = piece.to_parent
     trace.add("Tiny", f"{label} n={len(tp)}")
+    boundary = cfg.graph.boundary_vertices
     reserved = reserved or {}
     out_cap = {p: max(0, named.get(p, 1 if p in boundary else 2)
                       - reserved.get(p, 0)) for p in tp}
@@ -423,6 +425,24 @@ def _orient_tree(g: PlaneGraph, root: int) -> list[Edge]:
                 arcs.append((q, p))
                 stack.append(q)
     return arcs
+
+
+def _component(piece: Piece, trace: CaseTrace, at: int | None = None
+               ) -> Decomposition:
+    """A decomposition of the connected piece, in parent ids, with
+    out-degree <= 1 on its outer walk and <= 2 inside.  A tree has every
+    arc point towards at, or towards its least vertex without at.  Any
+    other piece takes M0 on a clean boundary path (p, u, v, q) plus the
+    centre arc (u, v), for which M0 leaves u and v no out-arc: the first
+    window of its walk read forwards, or, given at, (c, b, at, p) for the
+    first clean path (p, at, b, c), so that at gains no out-arc."""
+    pg = piece.graph
+    if pg.m == pg.n - 1:
+        trace.add("Tree", f"n={pg.n}")
+        root = 1 if at is None else piece.child_of[at]
+        return piece.lift(Decomposition.of(_orient_tree(pg, root)))
+    quad = walk_quad(piece) if at is None else walk_quad(piece, at)[::-1]
+    return _solve(piece, quad, "M0", trace).adjust(add_arcs=[quad[1:3]])
 
 
 def _bridge_piece_dec(piece: Piece, a: int, b: int,
@@ -1012,8 +1032,7 @@ def _claim_xuz(cfg: Configuration, u: int, trace: CaseTrace) -> Decomposition:
                                  add_arcs=[(u, z), (u, x), (z, y)])
     # a special pattern blocks the plain sub-goal: solve the reduced graph
     # directly under the final caps (z's budget is reserved for (z, y))
-    dec = _search(cfg, piece, {w: 1, x: 0, z: 0}, g.boundary_vertices, (),
-                  "x-z two-chord", trace)
+    dec = _search(cfg, piece, {w: 1, x: 0, z: 0}, (), "x-z two-chord", trace)
     return dec.adjust(add_arcs=[(z, y)])
 
 
@@ -1081,7 +1100,7 @@ def _glue(cfg: Configuration, pairs: Iterable[tuple[Decomposition, Decomposition
                 return dec
     w, x, y, z = cfg.path
     return _search(cfg, Piece(g, tuple(g.vertices())), {w: 1, x: 0, y: 0, z: 1},
-                   g.boundary_vertices, {und(x, y)}, "claim7 patch", trace)
+                   {und(x, y)}, "claim7 patch", trace)
 
 
 def _drop_edge_coverage(dec: Decomposition, edge: Edge) -> Decomposition:
@@ -1202,26 +1221,78 @@ def _cstar_chord(g: PlaneGraph, seq: list[int], interior: list[int]
 
 def _anchored_m0(cfg: Configuration, piece: Piece, trace: CaseTrace
                  ) -> Decomposition:
-    """An M0-style decomposition of the piece minus the edge x-y of cfg's
-    path with zero budget on x and y, in parent ids.  Degenerate pieces
-    without a boundary path, and pieces that fall apart (the recursion
-    needs a connected graph), go through the exhaustive search.  It gives
-    cap 1 to the piece's boundary walk and to every vertex with a neighbour
-    on g's boundary, whose cross arc the caller adds: in a piece that falls
-    apart, the components off the walk hold such vertices too."""
+    """Claim 8's G'': a decomposition of the piece minus the edge x-y of
+    cfg's path in parent ids, with x and y sources of no arc and unmatched,
+    and out-degree <= 1 on every vertex with a neighbour on g's boundary
+    other than x and y, whose cross arc the caller adds.
+
+    Claim 8 runs only when C* has no interior milestone, so g has no
+    2-chord: every vertex of the piece has at most one neighbour on g's
+    boundary, and each that has one lies on the outer walk of its own
+    component, the face that holds the deleted boundary.  The x-y component
+    is ``_dangling`` when x or y is a pendant vertex of it, and otherwise M0
+    on its clean path (p, x, y, c): p is not y and c is not x as neither is
+    pendant, and p is not c as g has no triangle.  Every other component K
+    is cut out at a vertex next to g's boundary, so that its outer face
+    holds the deleted boundary, and takes ``_component``.  Either way the
+    outer walks keep out-degree <= 1, which a cross arc lifts to <= 2 on a
+    vertex inside g.  Cross arcs end on g's boundary, whose arcs the caller
+    leads to x and y, and chains lead only to sinks, so no cycle forms.  A
+    branch that cannot be reached raises ``DecomposeError``: reaching it is
+    a bug, not a counterexample."""
     g = cfg.graph
     x, y = cfg.path[1:3]
-    try:
-        quad = walk_quad(piece, x, y) if piece.graph.is_connected() else None
-    except PlaneGraphError:
-        quad = None
-    if quad is not None:
-        return _solve(piece, quad, "M0", trace)
+    comps = piece.graph.components
+    if len(comps) == 1:
+        xy, others = piece, []
+    else:
+        tp = piece.to_parent
+        sets = [{tp[c - 1] for c in comp} for comp in comps]
+        xy = extract_piece(g, next(k for k in sets if x in k), outer_parent_edge=(x, y))
+        others = [k for k in sets if x not in k]
+    dec = _dangling(g, xy, x, y, trace)
+    if dec is None:
+        try:
+            quad = walk_quad(xy, x, y)
+        except PlaneGraphError as exc:
+            raise DecomposeError(f"claim 8: {exc}") from exc
+        dec = _solve(xy, quad, "M0", trace)
     bset = g.boundary_vertices
-    tp = piece.to_parent
-    boundary = {tp[c - 1] for c in piece.graph.boundary_vertices} | {
-        p for p in tp if not bset.isdisjoint(g.neighbors(p))}
-    return _search(cfg, piece, {x: 0, y: 0}, boundary, {und(x, y)}, "anchored", trace)
+    for k in others:
+        trace.add("Claim8", f"component n={len(k)}")
+        v = min(p for p in k if not bset.isdisjoint(g.neighbors(p)))
+        dec = dec.union(_component(peel_piece(g, k, v), trace))
+    return dec
+
+
+def _dangling(g: PlaneGraph, xy: Piece, x: int, y: int, trace: CaseTrace
+              ) -> Decomposition | None:
+    """The dangling chain of Claim 8's x-y component, in parent ids; None
+    when neither x nor y is a pendant vertex of it.  The pendant end goes
+    first: its one edge is x-y, which the goal leaves out.  While the vertex
+    a just reached is pendant in what is left, it goes too, with the arc
+    from its neighbour into it, which becomes a.  A vertex with no
+    neighbour left ends the chain with nothing left: the lone edge gives
+    the empty decomposition.  Otherwise the rest takes ``_component`` at a,
+    so a gains no out-arc but the one into the chain, and the rest's walk,
+    which faces the deleted boundary, keeps out-degree <= 1."""
+    if len(xy.graph.neighbors(xy.child_of[x])) == 1:
+        a = y
+    elif len(xy.graph.neighbors(xy.child_of[y])) == 1:
+        a = x
+    else:
+        return None
+    left = set(xy.to_parent) - {x, y} | {a}
+    arcs = []
+    while len(nb := [q for q in g.neighbors(a) if q in left]) <= 1:
+        left.discard(a)
+        if not nb:
+            break
+        arcs.append((nb[0], a))
+        a = nb[0]
+    trace.add("Claim8", f"dangling {len(xy.to_parent) - len(left)}")
+    chain = Decomposition.of(arcs)
+    return _component(peel_piece(g, left, a), trace, a).union(chain) if left else chain
 
 
 def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
@@ -1274,9 +1345,8 @@ def _obs_0000(cfg: Configuration, piece: Piece, path: Sequence[int] | None,
         except PreconditionError:
             pass
     w, x, y, _ = cfg.path
-    return _search(cfg, piece, {w: 1, x: 0, y: 0}, cfg.graph.boundary_vertices,
-                   {und(x, y)}, "anchored-0000", trace,
-                   reserved=Counter(p for p, _ in cross))
+    return _search(cfg, piece, {w: 1, x: 0, y: 0}, {und(x, y)}, "anchored-0000",
+                   trace, reserved=Counter(p for p, _ in cross))
 
 
 def _milestone_fans(gi: Piece, gj: Piece, seq: list[int], i: int, j: int,
@@ -1420,20 +1490,7 @@ def decompose_21(g: PlaneGraph) -> tuple[Decomposition, CaseTrace]:
     if bad:
         raise PlaneGraphError(f"invalid plane graph: {bad}")
     trace = CaseTrace()
-    parts: list[Decomposition] = []
-    for piece in component_pieces(g):
-        pg = piece.graph
-        if pg.m == pg.n - 1:  # a tree: orient towards vertex 1
-            trace.add("Tree", f"n={pg.n}")
-            parts.append(piece.lift(Decomposition.of(_orient_tree(pg, 1))))
-            continue
-        quad = _walk_path(pg.boundary_walk.vertices)
-        if quad is None:
-            raise CounterexampleError(_as_cfg(pg), "no boundary path found")
-        cfg = Configuration(pg, quad)
-        dec, _ = decompose_config(cfg, "M0", trace)
-        dec = dec.adjust(add_arcs=[(quad[1], quad[2])])
-        parts.append(piece.lift(dec))
+    parts = [_component(piece, trace) for piece in component_pieces(g)]
     dec = parts[0].union(*parts[1:]) if parts else Decomposition.of()
     rep = verify_21(g, dec)
     if not rep:

@@ -566,7 +566,7 @@ def plane_graphs_of(G: nx.Graph) -> list[PlaneGraph]:
     return out
 
 
-def enumerate_graphs(max_n: int, connected_only: bool = True,
+def enumerate_graphs(max_n: int,
                      order: Literal["augment", "edge_subsets"] = "augment",
                      ) -> Iterator[PlaneGraph]:
     """Every simple connected triangle-free plane graph with n <= max_n,
@@ -576,8 +576,6 @@ def enumerate_graphs(max_n: int, connected_only: bool = True,
         raise PlaneGraphError("enumeration capped at n = 12")
     if max_n < 1:
         raise PlaneGraphError(f"max_n must be at least 1, got {max_n}")
-    if not connected_only:
-        raise PlaneGraphError("only connected enumeration is supported")
     if order == "augment":
         levels = abstract_graphs_augment(max_n)
         per_n = [levels[n] for n in range(1, max_n + 1)]

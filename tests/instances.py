@@ -56,7 +56,9 @@ def embed(n: int, edges: list[tuple[int, int]], outer_cycle: list[int]) -> Plane
 
 # Cubic duals of random triangulations on which a G'' that falls apart once
 # reached the recursion and raised "bridge of a block with attachments
-# set()": Claim 8's G'' in A, Claim 10's in B.  Each is (rotation, outer).
+# set()": Claim 8's G'' in A, Claim 10's in B.  In C, x dangles from y and y
+# from a third vertex in Claim 8's G'', and the exhaustive search that once
+# took it over ran for minutes.  Each is (rotation, outer).
 FALLING_APART = {
     "A": (
         ((2, 22, 7), (3, 15, 1), (4, 14, 2), (5, 26, 3), (6, 35, 4),
@@ -86,6 +88,20 @@ FALLING_APART = {
          (67, 26, 70), (49, 66, 40), (62, 74, 29), (73, 63, 28), (6, 31, 14),
          (3, 9, 25)),
         (42, 61)),
+    "C": (
+        ((2, 51, 4), (3, 17, 1), (4, 22, 2), (1, 52, 3), (6, 49, 8),
+         (7, 33, 5), (8, 32, 6), (5, 51, 7), (10, 20, 12), (11, 24, 9),
+         (12, 23, 10), (9, 21, 11), (14, 22, 16), (15, 21, 13), (16, 26, 14),
+         (13, 53, 15), (18, 32, 2), (19, 31, 17), (20, 25, 18), (9, 24, 19),
+         (14, 23, 12), (3, 53, 13), (21, 26, 11), (25, 20, 10), (26, 19, 24),
+         (23, 15, 25), (28, 37, 34), (29, 39, 27), (30, 35, 28), (31, 36, 29),
+         (32, 18, 30), (7, 17, 31), (34, 49, 6), (27, 50, 33), (36, 47, 29),
+         (30, 54, 35), (38, 50, 27), (39, 55, 37), (28, 48, 38), (41, 45, 44),
+         (42, 56, 40), (43, 55, 41), (44, 54, 42), (40, 46, 43), (46, 40, 48),
+         (47, 44, 45), (35, 54, 46), (45, 56, 39), (50, 5, 33), (34, 37, 49),
+         (52, 1, 8), (53, 4, 51), (16, 22, 52), (43, 47, 36), (38, 56, 42),
+         (55, 48, 41)),
+        (1, 4)),
 }
 
 

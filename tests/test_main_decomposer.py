@@ -590,23 +590,30 @@ def test_hand_built_branch_instances(maker, label):
     assert verify(g, path, goal_spec("M2", cfg), dec).ok
 
 
-def _fold_run(h, key, run) -> bool:
+def _fold_run(h, key, run) -> list[tuple[str, str]] | None:
     """Fold one run into a running SHA-256: its case trace, arcs and
-    matching, or the type and message of what it raised.  True on success."""
+    matching, or the type and message of what it raised.  Its trace entries
+    on success, None on failure."""
     try:
         dec, trace = run()
     except Exception as exc:  # noqa: BLE001 - a failure is part of the output
         h.update(repr((key, type(exc).__name__, str(exc))).encode())
-        return False
+        return None
     h.update(repr((key, trace.entries, sorted(dec.arcs),
                    sorted(dec.matching))).encode())
-    return True
+    return trace.entries
 
 
-# recorded before the claim helpers moved to parent ids; pins every top-level
-# M0-M3 output at n <= 8, which criterion 6 (decompose_21 only) does not
+def _anchored_searches(entries) -> list[tuple[str, str]]:
+    """The entries of Claim 8's old exhaustive G'' search, which the
+    dangling chain and the per-component step replaced."""
+    return [e for e in entries if e[0] == "Tiny" and e[1].startswith("anchored n=")]
+
+
+# pins the trace and output of every top-level M0-M3 run at n <= 8, which
+# criterion 6 (decompose_21 only) does not
 CONFIG_OUTPUTS_DIGEST = \
-    "1f2715a2e519a5b6e276fd01193410eb48446ad389e18f84b97d474e663680f5"
+    "c9f13a1152616418c99911feeeb63711cfffcbae945def84bd2f006cca1c98a9"
 
 
 def test_configuration_outputs_frozen():
@@ -614,14 +621,18 @@ def test_configuration_outputs_frozen():
     same case trace and the same decomposition."""
     h = hashlib.sha256()
     runs = ok = 0
+    anchored = []
     for g in enumerate_graphs(8):
         for quad in enumerate_configurations(g):
             for goal in applicable_goals(g, quad):
                 cfg = Configuration(g, quad)
                 runs += 1
-                ok += _fold_run(h, (quad, goal),
-                                lambda: decompose_config(cfg, goal))
+                entries = _fold_run(h, (quad, goal),
+                                    lambda: decompose_config(cfg, goal))
+                ok += entries is not None
+                anchored += _anchored_searches(entries or ())
     assert (runs, ok) == (7418, 7418)
+    assert anchored == []
     assert h.hexdigest() == CONFIG_OUTPUTS_DIGEST
 
 
@@ -638,10 +649,8 @@ def _large_instances():
 
 
 # every run succeeds; recorded with the same code as CONFIG_OUTPUTS_DIGEST
-# except for bench_grid_subgraph(10, 10, .25), whose fold was Claim 7's
-# wrong assembly (its error type and message) before the glue was verified
 LARGE_OUTPUTS_DIGEST = \
-    "ab9b2401615c56ede3fd3a640aca0443c8cbf36c72117003260057e44f0e7b53"
+    "1143643d533f0a81cd52f2db1e422bf47e0aabb303b7c2e98831ed21f8e2418b"
 
 
 def test_large_outputs_frozen():
@@ -651,10 +660,14 @@ def test_large_outputs_frozen():
     exhaustive searches; Claims 3 and 6 are pinned by the n <= 9 digests."""
     h = hashlib.sha256()
     runs = ok = 0
+    anchored = []
     for g in _large_instances():
         runs += 1
-        ok += _fold_run(h, g.n, lambda: decompose_21(g))
+        entries = _fold_run(h, g.n, lambda: decompose_21(g))
+        ok += entries is not None
+        anchored += _anchored_searches(entries or ())
     assert (runs, ok) == (186, 186)
+    assert anchored == []
     assert h.hexdigest() == LARGE_OUTPUTS_DIGEST
 
 
@@ -669,10 +682,14 @@ SPLIT_PIECE_CASES = [(1, 6, .4, 4), (7, 5, .4, 4), (7, 8, .25, 4), (8, 7, .25, 4
 
 @pytest.mark.parametrize("seed,k,share,i", SPLIT_PIECE_CASES)
 def test_claim8_piece_that_falls_apart(seed, k, share, i):
-    """The cross arcs and the search caps reach every component of G''."""
+    """The lone edge x-y drops out, every other component of G'' is
+    decomposed on its own, and the cross arcs reach each of them."""
     g = instances.bench_large_subgraph(seed, k, share, i)
     dec, trace = decompose_21(g)
-    assert "Claim8" in trace.labels()
+    assert ("Claim8", "dangling 2") in trace.entries
+    assert any(lab == "Claim8" and detail.startswith("component ")
+               for lab, detail in trace.entries)
+    assert _anchored_searches(trace.entries) == []
     assert verify_21(g, dec)
 
 
@@ -686,18 +703,35 @@ def test_claim11_piece_that_falls_apart():
     assert verify_21(g, dec)
 
 
-@pytest.mark.parametrize("name,claim,search", [
-    ("A", "Claim8", "anchored n=27"),
-    ("B", "Claim10", "anchored-0000 n=39"),
+@pytest.mark.parametrize("name,claim,step", [
+    pytest.param("A", "Claim8", ("Claim8", "component n=21"),
+                 id="A-Claim8-component"),
+    pytest.param("B", "Claim10", ("Tiny", "anchored-0000 n=39"),
+                 id="B-Claim10-anchored-0000 n=39"),
 ])
-def test_cubic_dual_whose_g_double_prime_falls_apart(name, claim, search):
-    """The G'' of Claim 8 (A) or Claim 10 (B) falls apart; it goes to the
-    search with its cross arcs reserved instead of the recursion, where
-    Claim 2 raised 'bridge of a block with attachments set()'."""
+def test_cubic_dual_whose_g_double_prime_falls_apart(name, claim, step):
+    """The G'' of Claim 8 (A) or Claim 10 (B) falls apart, where the
+    recursion's Claim 2 once raised 'bridge of a block with attachments
+    set()'.  Claim 8 decomposes the component away from x-y on its own,
+    with no search; Claim 10's G'' goes to the search with its cross arcs
+    reserved."""
     g = PlaneGraph(*instances.FALLING_APART[name])
     dec, trace = decompose_21(g)
     assert claim in trace.labels()
-    assert ("Tiny", search) in trace.entries
+    assert step in trace.entries
+    assert _anchored_searches(trace.entries) == []
+    assert verify_21(g, dec)
+
+
+def test_claim8_dangling_chain():
+    """Instance C: in Claim 8's G'', x hangs on y alone and y on one third
+    vertex.  The chain drops x and y and takes M0 through that vertex; the
+    exhaustive search that used to take over ran for minutes of CPU."""
+    g = PlaneGraph(*instances.FALLING_APART["C"])
+    with _cpu_budget(10):
+        dec, trace = decompose_21(g)
+    assert ("Claim8", "dangling 2") in trace.entries
+    assert _anchored_searches(trace.entries) == []
     assert verify_21(g, dec)
 
 
