@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Literal, Sequence
+from typing import Callable, Collection, Iterable, Literal, Sequence
 
 from .config_algebra import (P_TAGS, R_TAGS, Configuration, Derivation,
                              full_reverse, recognize, recognize_reversed)
@@ -427,21 +427,21 @@ def _orient_tree(g: PlaneGraph, root: int) -> list[Edge]:
     return arcs
 
 
-def _component(piece: Piece, trace: CaseTrace, at: int | None = None
-               ) -> Decomposition:
+def _component(piece: Piece, trace: CaseTrace, *at: int) -> Decomposition:
     """A decomposition of the connected piece, in parent ids, with
     out-degree <= 1 on its outer walk and <= 2 inside.  A tree has every
-    arc point towards at, or towards its least vertex without at.  Any
+    arc point towards at[0], or towards its least vertex without at.  Any
     other piece takes M0 on a clean boundary path (p, u, v, q) plus the
-    centre arc (u, v), for which M0 leaves u and v no out-arc: the first
-    window of its walk read forwards, or, given at, (c, b, at, p) for the
-    first clean path (p, at, b, c), so that at gains no out-arc."""
+    centre arc (u, v), for which M0 leaves u and v no out-arc and no
+    matching edge: the first window of its walk read forwards, or, given at,
+    (c, b, a, p) for the first clean path (p, a, b, c), a being at[0] and
+    b at[1] when given, so that a gains no out-arc."""
     pg = piece.graph
     if pg.m == pg.n - 1:
         trace.add("Tree", f"n={pg.n}")
-        root = 1 if at is None else piece.child_of[at]
+        root = piece.child_of[at[0]] if at else 1
         return piece.lift(Decomposition.of(_orient_tree(pg, root)))
-    quad = walk_quad(piece) if at is None else walk_quad(piece, at)[::-1]
+    quad = walk_quad(piece, *at)[::-1] if at else walk_quad(piece)
     return _solve(piece, quad, "M0", trace).adjust(add_arcs=[quad[1:3]])
 
 
@@ -1219,27 +1219,34 @@ def _cstar_chord(g: PlaneGraph, seq: list[int], interior: list[int]
     return None
 
 
-def _anchored_m0(cfg: Configuration, piece: Piece, trace: CaseTrace
-                 ) -> Decomposition:
-    """Claim 8's G'': a decomposition of the piece minus the edge x-y of
-    cfg's path in parent ids, with x and y sources of no arc and unmatched,
-    and out-degree <= 1 on every vertex with a neighbour on g's boundary
-    other than x and y, whose cross arc the caller adds.
+def _g_double_prime(cfg: Configuration, piece: Piece, label: str, trace: CaseTrace,
+                    xy_step: Callable[[Piece, tuple], Decomposition]) -> Decomposition:
+    """The G'' of Claims 8-11 and the final step on cfg, a piece of cfg's
+    graph g: a decomposition of it minus the edge x-y in parent ids, to
+    which the caller adds the cross arcs into the deleted set.  The x-y
+    component (cut out with outer edge (x, y) when the piece falls apart)
+    is ``_dangling`` when x or y is pendant in it, and otherwise takes
+    ``xy_step`` on its clean walk path (w', x, y, t): w' is not y and t is
+    not x as neither is pendant, and w' is not t as g has no triangle.
+    Every other component is cut out at its least vertex next to the
+    deleted set, so that its outer face holds that set, and takes
+    ``_component``.
 
-    Claim 8 runs only when C* has no interior milestone, so g has no
-    2-chord: every vertex of the piece has at most one neighbour on g's
-    boundary, and each that has one lies on the outer walk of its own
-    component, the face that holds the deleted boundary.  The x-y component
-    is ``_dangling`` when x or y is a pendant vertex of it, and otherwise M0
-    on its clean path (p, x, y, c): p is not y and c is not x as neither is
-    pendant, and p is not c as g has no triangle.  Every other component K
-    is cut out at a vertex next to g's boundary, so that its outer face
-    holds the deleted boundary, and takes ``_component``.  Either way the
-    outer walks keep out-degree <= 1, which a cross arc lifts to <= 2 on a
-    vertex inside g.  Cross arcs end on g's boundary, whose arcs the caller
-    leads to x and y, and chains lead only to sinks, so no cycle forms.  A
-    branch that cannot be reached raises ``DecomposeError``: reaching it is
-    a bug, not a counterexample."""
+    The caps hold by construction; check them claim by claim.  Cross arcs
+    leave only vertices inside g, at most one each, from the outer walk of
+    their component, whose out-degree <= 1 they lift to <= 2: they end on
+    g's boundary in Claim 8, where g has no 2-chord, on a boundary run that
+    C* walks step by step in Claims 10 and 11, and on w4 in the final
+    step, so no vertex has two neighbours there (the run has no 2-chord)
+    and a boundary vertex none but along a walk edge, which the caller
+    covers (g has no chord); the deleted set lies in the outer face.  Every
+    boundary vertex of cfg in the piece lies in the x-y component, where
+    the goal's caps hold, z's among them: they form one stretch of g's walk
+    through x and y (Claim 9's Int(C) is connected and has no cross arc).
+    So the other components are interior.  Cross arcs end on the deleted
+    set, whose arcs the caller leads away, and chains lead only to sinks,
+    so no cycle forms.  A missing walk path is a bug, not a counterexample,
+    and raises ``DecomposeError``."""
     g = cfg.graph
     x, y = cfg.path[1:3]
     comps = piece.graph.components
@@ -1250,32 +1257,35 @@ def _anchored_m0(cfg: Configuration, piece: Piece, trace: CaseTrace
         sets = [{tp[c - 1] for c in comp} for comp in comps]
         xy = extract_piece(g, next(k for k in sets if x in k), outer_parent_edge=(x, y))
         others = [k for k in sets if x not in k]
-    dec = _dangling(g, xy, x, y, trace)
+    dec = _dangling(g, xy, cfg.path, label, trace)
     if dec is None:
         try:
             quad = walk_quad(xy, x, y)
         except PlaneGraphError as exc:
-            raise DecomposeError(f"claim 8: {exc}") from exc
-        dec = _solve(xy, quad, "M0", trace)
-    bset = g.boundary_vertices
+            raise DecomposeError(f"{label}: {exc}") from exc
+        dec = xy_step(xy, quad)
+    kept = piece.child_of
     for k in others:
-        trace.add("Claim8", f"component n={len(k)}")
-        v = min(p for p in k if not bset.isdisjoint(g.neighbors(p)))
+        trace.add(label, f"component n={len(k)}")
+        v = min(p for p in k if any(q not in kept for q in g.neighbors(p)))
         dec = dec.union(_component(peel_piece(g, k, v), trace))
     return dec
 
 
-def _dangling(g: PlaneGraph, xy: Piece, x: int, y: int, trace: CaseTrace
-              ) -> Decomposition | None:
-    """The dangling chain of Claim 8's x-y component, in parent ids; None
-    when neither x nor y is a pendant vertex of it.  The pendant end goes
-    first: its one edge is x-y, which the goal leaves out.  While the vertex
-    a just reached is pendant in what is left, it goes too, with the arc
-    from its neighbour into it, which becomes a.  A vertex with no
-    neighbour left ends the chain with nothing left: the lone edge gives
-    the empty decomposition.  Otherwise the rest takes ``_component`` at a,
-    so a gains no out-arc but the one into the chain, and the rest's walk,
-    which faces the deleted boundary, keeps out-degree <= 1."""
+def _dangling(g: PlaneGraph, xy: Piece, path: Sequence[int], label: str,
+              trace: CaseTrace) -> Decomposition | None:
+    """The dangling chain of the x-y component of a G'', path being
+    (w, x, y, z), in parent ids; None when neither x nor y is a pendant
+    vertex of it.  The pendant end goes first: its one edge is x-y, which
+    the goal leaves out.  While the vertex a just reached is pendant in
+    what is left, it goes too, with the arc from its neighbour into it,
+    which becomes a.  A vertex with no neighbour left ends the chain with
+    nothing left: the lone edge gives the empty decomposition.  Otherwise
+    the rest takes ``_component`` at a, so a gains no out-arc but the one
+    into the chain, and the rest's walk, which faces the deleted set,
+    keeps out-degree <= 1; at x with w left (y pendant in Claim 11) it is
+    at (x, w), so w and x stay unmatched and only (w, x) leaves either."""
+    w, x, y, _ = path
     if len(xy.graph.neighbors(xy.child_of[x])) == 1:
         a = y
     elif len(xy.graph.neighbors(xy.child_of[y])) == 1:
@@ -1290,9 +1300,12 @@ def _dangling(g: PlaneGraph, xy: Piece, x: int, y: int, trace: CaseTrace
             break
         arcs.append((nb[0], a))
         a = nb[0]
-    trace.add("Claim8", f"dangling {len(xy.to_parent) - len(left)}")
+    trace.add(label, f"dangling {len(xy.to_parent) - len(left)}")
     chain = Decomposition.of(arcs)
-    return _component(peel_piece(g, left, a), trace, a).union(chain) if left else chain
+    if not left:
+        return chain
+    at = (a, w) if a == x and w in left else (a,)
+    return _component(peel_piece(g, left, a), trace, *at).union(chain)
 
 
 def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
@@ -1306,7 +1319,8 @@ def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
         raise CounterexampleError(cfg, "short chordless boundary in claim 8")
     keep = (set(g.vertices()) - set(vs)) | {x, y}
     piece = extract_piece(g, keep, outer_parent_edge=(x, y))
-    dprime = _anchored_m0(cfg, piece, trace)
+    dprime = _g_double_prime(cfg, piece, "Claim8", trace,
+                             lambda xy, quad: _solve(xy, quad, "M0", trace))
     # an edge v_ -> u_ of the walk away from the path: forward from u_
     # reaches x, backward from v_ reaches y
     pick = None
@@ -1327,26 +1341,29 @@ def _claim8(cfg: Configuration, trace: CaseTrace) -> Decomposition:
     return dprime.adjust(add_arcs=arcs + cross, add_matching=[(u_, v_)])
 
 
-def _obs_0000(cfg: Configuration, piece: Piece, path: Sequence[int] | None,
-              cross: Iterable[Edge], trace: CaseTrace) -> Decomposition:
-    """(1001,0000) for the G'' of a claim on cfg, in parent ids: the
-    recursion on path, relaxed iff the centre has chords (the obs-0000
-    route).  An exhaustive search under the final caps takes over, with the
-    budget of the cross arcs that the caller adds out of the piece
-    reserved, when there is no path (y dangles: its boundary run was cut
-    away), when the piece falls apart (the recursion needs a connected
-    graph) or when the piece holds a special member (the recursion's
-    precondition fails).  Every other error of the recursion is a fault
-    and propagates."""
-    if path is not None and piece.graph.is_connected():
-        goal: Goal = "M1" if _centre_chord(piece, path[1], path[2]) else "M2"
+def _obs_0000(cfg: Configuration, piece: Piece, cross: Iterable[Edge],
+              label: str, trace: CaseTrace) -> Decomposition:
+    """(1001,0000) for the G'' of Claim 9, 10 or 11 or the final step on
+    cfg (``_g_double_prime``): the recursion on the x-y component's walk
+    path, relaxed iff the centre has chords (the obs-0000 route).  Only a
+    failed precondition (a special containment) hands it to a search under
+    the final caps, z's among them, with the cross arcs' budget reserved and
+    the failure's tag traced, also when a level below finds it (in the
+    block of Claim 2 or a side of Claim 4).  Every other error propagates."""
+    w, x, y, z = cfg.path
+
+    def xy_step(xy: Piece, quad: tuple[int, ...]) -> Decomposition:
+        goal: Goal = "M1" if _centre_chord(xy, x, y) else "M2"
         try:
-            return _solve(piece, path, goal, trace)
-        except PreconditionError:
-            pass
-    w, x, y, _ = cfg.path
-    return _search(cfg, piece, {w: 1, x: 0, y: 0}, {und(x, y)}, "anchored-0000",
-                   trace, reserved=Counter(p for p, _ in cross))
+            return _solve(xy, quad, goal, trace)
+        except PreconditionError as exc:
+            # the witness's family tag, else the goal that failed
+            cause = getattr(exc.witness, "tag", exc.goal)
+        return _search(cfg, xy, {w: 1, x: 0, y: 0, z: 1}, {und(x, y)},
+                       f"anchored-0000 {cause}", trace,
+                       reserved=Counter(p for p, _ in cross))
+
+    return _g_double_prime(cfg, piece, label, trace, xy_step)
 
 
 def _milestone_fans(gi: Piece, gj: Piece, seq: list[int], i: int, j: int,
@@ -1369,7 +1386,7 @@ def _claim9(cfg: Configuration, seq: list[int], i: int, j: int,
     wjm, wjp = seq[j - 1], seq[j + 1]
     gp = _region(g, wjp, wim, wi, wj)
     g2 = _region(g, wip, wjm, wj, wi)
-    dprime = _obs_0000(cfg, gp, cfg.path, (), trace)
+    dprime = _obs_0000(cfg, gp, (), "Claim9", trace)
     di, dj = _milestone_fans(_region(g, wim, wip, wi), _region(g, wjm, wjp, wj),
                              seq, i, j, trace)
     # directed-path dichotomy on G''; it covers either orientation of the
@@ -1411,7 +1428,7 @@ def _claim10(cfg: Configuration, seq: list[int], i: int, j: int,
     piece = extract_piece(g, set(g.vertices()) - owned - set(run),
                           outer_parent_edge=(x, y))
     cross = _arcs_into(g, piece, set(run))
-    dpp = _obs_0000(cfg, piece, cfg.path, cross, trace)
+    dpp = _obs_0000(cfg, piece, cross, "Claim10", trace)
     di, dj = _milestone_fans(gi, gj, seq, i, j, trace)
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
     return dpp.union(di, dj).adjust(add_arcs=path_arcs + cross)
@@ -1420,8 +1437,9 @@ def _claim10(cfg: Configuration, seq: list[int], i: int, j: int,
 def _arcs_into(g: PlaneGraph, piece: Piece, targets: Collection[int]
                ) -> list[Edge]:
     """The arcs (p, q), sorted, for every edge of g from a vertex p of the
-    piece to a vertex q in targets.  A piece that falls apart has vertices
-    next to the targets off its boundary walk, so every vertex is a source."""
+    piece to a vertex q in targets.  Every vertex is read: a source lies on
+    the outer walk of its own component (``_g_double_prime``), which is
+    off the piece's walk when the piece falls apart."""
     return sorted((p, q) for p in piece.to_parent for q in g.neighbors(p)
                   if q in targets)
 
@@ -1438,11 +1456,7 @@ def _claim11(cfg: Configuration, seq: list[int], i: int, trace: CaseTrace
     gpp_verts = set(g.vertices()) - (set(gi.to_parent) - {wim, wi, wip}) - run_set0
     piece = extract_piece(g, gpp_verts, outer_parent_edge=(x, y))
     cross = [a for a in _arcs_into(g, piece, run_set0) if a != (y, z)]
-    try:
-        path = (w, x, y, piece.succ(y))
-    except PlaneGraphError:
-        path = None
-    dpp = _obs_0000(cfg, piece, path, cross, trace)
+    dpp = _obs_0000(cfg, piece, cross, "Claim11", trace)
     di = _solve(gi, (wim, wi, wip, gi.pred(wip)), "M0", trace)
     di = di.adjust(drop_arcs=[(wim, wi)])
     path_arcs = [(run[t + 1], run[t]) for t in range(len(run) - 1)]
@@ -1461,7 +1475,7 @@ def _final_construction(cfg: Configuration, seq: list[int], trace: CaseTrace
     piece = extract_piece(g, set(g.vertices()) - owned - {w4},
                           outer_parent_edge=(x, y))
     cross = _arcs_into(g, piece, {w4})
-    dpp = _obs_0000(cfg, piece, cfg.path, cross, trace)
+    dpp = _obs_0000(cfg, piece, cross, "Final", trace)
     if (z, w3) in dpp.arcs:
         # z's single permitted out-arc; safe to point it back at z
         dpp = dpp.adjust(drop_arcs=[(z, w3)], add_arcs=[(w3, z)])

@@ -16,7 +16,9 @@ backtracking behind ``tiny_search``, and the edge-set comparison behind the
 partition check of ``verify`` and ``verify_21``.  ``bench_grid_subgraph``
 draws grid subgraphs with the benchmark's own generator, and
 ``bench_large_subgraph`` the grid subgraphs of its ``large`` workload.
-``FALLING_APART`` holds graphs whose G'' once fell apart in the recursion.
+``cubic_dual`` draws seeded plane duals of random triangulations, cubic and
+triangle-free before they are thinned.  ``FALLING_APART`` holds graphs
+whose G'' once fell apart in the recursion.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ def embed(n: int, edges: list[tuple[int, int]], outer_cycle: list[int]) -> Plane
 # reached the recursion and raised "bridge of a block with attachments
 # set()": Claim 8's G'' in A, Claim 10's in B.  In C, x dangles from y and y
 # from a third vertex in Claim 8's G'', and the exhaustive search that once
-# took it over ran for minutes.  Each is (rotation, outer).
+# took it over ran for minutes.  D is cubic_dual(94, 13) (n = 184), where
+# that search took Claim 10's G'', which fell apart, and matched z.  Each is
+# (rotation, outer).
 FALLING_APART = {
     "A": (
         ((2, 22, 7), (3, 15, 1), (4, 14, 2), (5, 26, 3), (6, 35, 4),
@@ -102,6 +106,50 @@ FALLING_APART = {
          (52, 1, 8), (53, 4, 51), (16, 22, 52), (43, 47, 36), (38, 56, 42),
          (55, 48, 41)),
         (1, 4)),
+    "D": (
+        ((7,3,26), (4,6,71), (1,5,25), (5,2,102), (3,4,76), (2,12,67),
+         (10,1,154), (12,11,103), (11,10,175), (9,7,153), (8,9,129),
+         (6,8,151), (20,19,27), (23,18,140), (16,24,107), (21,15,174),
+         (22,23,66), (14,20,141), (13,21,28), (18,13,178), (19,16,100),
+         (24,17,97), (17,14,35), (15,22,167), (27,3,33), (1,28,78),
+         (13,25,170), (26,19,98), (35,32,66), (31,33,79), (32,30,116),
+         (29,31,64), (30,36,25), (36,37,179), (37,29,23), (33,34,170),
+         (34,35,140), (39,42,72), (40,38,95), (43,39,142), (42,43,173),
+         (38,41,71), (41,40,125), (50,46,83), (48,49,121), (44,48,77),
+         (51,52,144), (46,45,128), (45,51,120), (52,44,169),
+         (49,47,160), (47,50,145), (58,57,97), (57,56,100), (56,59,115),
+         (54,55,99), (53,54,96), (59,53,112), (55,58,114), (62,61,119),
+         (60,63,118), (63,60,147), (61,62,146), (65,32,116),
+         (66,64,111), (29,65,17), (74,6,148), (73,70,88), (70,74,163),
+         (68,69,158), (2,42,103), (38,73,95), (72,68,142), (69,67,85),
+         (79,78,111), (81,5,120), (78,46,127), (75,77,26), (30,75,116),
+         (82,81,138), (80,76,159), (83,80,183), (44,82,169),
+         (87,88,158), (89,87,74), (88,89,171), (85,84,163), (84,86,68),
+         (86,85,148), (93,92,104), (92,94,132), (90,91,105),
+         (94,90,110), (91,93,133), (39,72,142), (97,57,174), (53,96,22),
+         (100,101,28), (101,56,115), (54,98,21), (98,99,113),
+         (4,103,121), (102,71,8), (90,108,110), (107,92,132),
+         (108,107,167), (106,105,15), (104,106,109), (110,108,167),
+         (104,109,93), (75,112,65), (111,113,58), (112,101,114),
+         (115,59,113), (55,114,99), (31,79,64), (119,118,136),
+         (117,61,146), (60,117,162), (76,49,159), (45,102,128),
+         (124,123,149), (122,126,150), (125,122,172), (126,124,43),
+         (123,125,171), (77,131,154), (129,48,121), (130,128,11),
+         (131,129,175), (127,130,156), (91,133,105), (132,94,174),
+         (135,136,147), (139,134,162), (134,137,117), (136,138,168),
+         (137,139,80), (138,135,183), (14,141,37), (140,18,178),
+         (40,95,73), (144,145,183), (47,143,160), (143,52,169),
+         (147,118,63), (134,146,62), (67,150,89), (122,151,172),
+         (148,123,171), (149,12,173), (153,157,164), (154,152,10),
+         (127,153,7), (157,156,181), (155,131,180), (152,155,166),
+         (84,70,163), (120,161,81), (161,51,144), (159,160,168),
+         (135,119,168), (69,87,158), (152,165,176), (164,166,184),
+         (165,157,181), (106,24,109), (162,137,161), (50,83,145),
+         (27,36,179), (86,150,126), (149,173,124), (172,151,41),
+         (16,133,96), (9,177,130), (177,164,184), (175,176,182),
+         (179,141,20), (34,178,170), (181,156,182), (155,180,166),
+         (180,177,184), (82,139,143), (176,165,182)),
+        (91, 92)),
 }
 
 
@@ -499,6 +547,85 @@ def grid_subgraph(k: int, keep_share: float, seed: int) -> PlaneGraph:
     # dropping edges merges faces into the outer one, never out of it
     outer = next(d for d in full.trace_face(*full.outer) if und(*d) not in dropped)
     g = PlaneGraph(rot, outer)
+    assert validate(g).ok
+    return g
+
+
+def cubic_dual(V: int, seed: int, share: float = 0.0) -> PlaneGraph:
+    """The plane dual (n = 2V - 4, cubic and triangle-free) of a seeded
+    random triangulation on V >= 8 vertices with minimum degree >= 4, in the
+    manner of plantri's minimum-degree classes (Brinkmann & McKay, MATCH 58
+    (2007)), with ``share`` of its edges then deleted at random while it
+    stays connected, and a random outer face.
+
+    The triangulation grows from a triangle, each new vertex inserted into
+    a random face, and then takes rounds of random edge flips until its
+    minimum degree is 4; a flip that would leave an end below degree 4 or
+    double an edge is refused.  ``third`` maps each dart (u, v) to the
+    third vertex of the face on its left; it, the adjacency sets and the
+    edge list change with each insertion and flip, so a flip costs O(1).
+    The thinned graphs of (V, seed) share its triangulation."""
+    rng = random.Random(f"cubic-dual {V} {seed}")
+    third = {(0, 1): 2, (1, 2): 0, (2, 0): 1, (0, 2): 1, (2, 1): 0, (1, 0): 2}
+    adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+    edges = [(0, 1), (1, 2), (0, 2)]
+    darts = list(third)
+    for p in range(3, V):
+        a, b = rng.choice(darts)
+        c = third[a, b]
+        adj[p] = {a, b, c}
+        for u, v in ((a, b), (b, c), (c, a)):
+            third[u, v], third[v, p], third[p, u] = p, u, v
+            darts += [(v, p), (p, u)]
+            adj[u].add(p)
+            edges.append((u, p))
+    low = sum(len(nb) < 4 for nb in adj.values())
+    while low:
+        for _ in range(len(edges)):
+            i = rng.randrange(len(edges))
+            u, v = edges[i]
+            w, x = third[u, v], third[v, u]
+            if len(adj[u]) <= 4 or len(adj[v]) <= 4 or x in adj[w]:
+                continue
+            del third[u, v], third[v, u]
+            third[u, x], third[x, w], third[w, u] = w, u, x
+            third[x, v], third[v, w], third[w, x] = w, x, v
+            adj[u].remove(v)
+            adj[v].remove(u)
+            low -= (len(adj[w]) == 3) + (len(adj[x]) == 3)
+            adj[w].add(x)
+            adj[x].add(w)
+            edges[i] = (w, x)
+    # the dual: a vertex per face, its neighbours across the face's sides
+    # in the order of its darts
+    face: dict[tuple[int, int], int] = {}
+    for u, v in sorted(third):
+        if (u, v) not in face:
+            w = third[u, v]
+            face[u, v] = face[v, w] = face[w, u] = len(face) // 3 + 1
+    rot = {f: [face[v, u], face[third[u, v], v], face[u, third[u, v]]]
+           for (u, v), f in face.items()}
+    links = [(f, q) for f in sorted(rot) for q in rot[f] if f < q]
+    rng.shuffle(links)
+    cut = int(share * len(links))
+    for f, q in links:
+        if not cut:
+            break
+        i, j = rot[f].index(q), rot[q].index(f)
+        del rot[f][i], rot[q][j]
+        seen, stack = {f}, [f]
+        while stack:
+            for t in rot[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if q in seen:
+            cut -= 1
+        else:
+            rot[f].insert(i, q)
+            rot[q].insert(j, f)
+    f = rng.randrange(1, len(rot) + 1)
+    g = PlaneGraph(rot, (f, rng.choice(rot[f])))
     assert validate(g).ok
     return g
 

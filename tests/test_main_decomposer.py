@@ -205,13 +205,22 @@ FORMER_SEARCH_FAILURES = [
     (8, 10, .25), (9, 8, .25), (10, 9, .1),
     (3, 9, .25), (5, 7, .4), (6, 8, .4), (6, 10, .4), (8, 6, .4), (10, 9, .25),
 ]
+# where y dangles in Claim 11's G'', which no longer goes to the search: the
+# step that runs instead
+CLAIM11_CHAINS = {(5, 7, .4): ("Claim11", "dangling 4"),
+                  (6, 10, .4): ("Claim11", "dangling 30")}
 
 
 @pytest.mark.parametrize("seed,k,share", FORMER_SEARCH_FAILURES)
 def test_grid_subgraphs_that_needed_a_long_search(seed, k, share):
     g = instances.bench_grid_subgraph(seed, k, share)
     dec, trace = decompose_21(g)
-    assert "Tiny" in trace.labels()
+    step = CLAIM11_CHAINS.get((seed, k, share))
+    if step is None:
+        assert "Tiny" in trace.labels()
+    else:
+        assert step in trace.entries
+        assert _searches(trace.entries, "anchored-0000") == []
     assert verify_21(g, dec).ok
 
 
@@ -275,7 +284,8 @@ def test_large_ops_with_the_claim7_wrong_assembly(seed, k, share, i):
 def test_anchored_0000_searches_only_on_a_failed_precondition(monkeypatch, error):
     """On this grid subgraph Claim 11's G'' asks the G'' step once.  When
     the step's recursion fails its precondition, the step falls to the
-    search; a fault propagates."""
+    search, whose entry names the failed goal (a precondition with a
+    witness gives the witness's tag); a fault propagates."""
     g = instances.bench_grid_subgraph(7, 5, .4)
     calls = []
     step, solve = main_decomposer._obs_0000, main_decomposer._solve
@@ -286,11 +296,11 @@ def test_anchored_0000_searches_only_on_a_failed_precondition(monkeypatch, error
         raise CounterexampleError(main_decomposer._sub_config(piece, path),
                                   f"assembled decomposition violates {goal}")
 
-    def asked(cfg, piece, path, cross, trace):
-        calls.append(path)
+    def asked(cfg, piece, cross, label, trace):
+        calls.append(label)
         monkeypatch.setattr(main_decomposer, "_solve", failing)
         try:
-            return step(cfg, piece, path, cross, trace)
+            return step(cfg, piece, cross, label, trace)
         finally:
             monkeypatch.setattr(main_decomposer, "_solve", solve)
 
@@ -300,29 +310,35 @@ def test_anchored_0000_searches_only_on_a_failed_precondition(monkeypatch, error
             decompose_21(g)
     else:
         dec, trace = decompose_21(g)
-        assert ("Tiny", "anchored-0000 n=12") in trace.entries
+        assert ("Tiny", "anchored-0000 M2 n=12") in trace.entries
         assert verify_21(g, dec).ok
-    assert len(calls) == 1
+    assert calls == ["Claim11"]
 
 
 def test_anchored_0000_on_a_piece_that_falls_apart():
-    """The G'' step given a path, as Claims 9 and 10 call it, on a piece
-    that falls apart: the 8-cycle 1-8 on the path (1, 2, 3, 4) and the path
-    10 11 12, both joined to 9, which is cut away.  The search decomposes the piece with
-    the cross arcs into s reserved, and with them it meets goal M2."""
-    g = PlaneGraph(((2, 8), (3, 1), (4, 2), (5, 3), (6, 4), (5, 9, 7), (8, 6),
-                    (1, 7), (6, 10, 12), (11, 9), (12, 10), (9, 11)), (1, 2))
+    """The G'' step, as Claim 10 calls it, on a piece that falls apart: the
+    10-cycle 1-10 on the path (1, 2, 3, 4), with the 2-chord 1-15-16-4
+    inside and the 4-cycle 11-12-13-14 joined to 6 and 7, which are cut
+    away as a run would be.  The split gives the x-y component, which holds
+    z = 4, the recursion, and the 4-cycle, peeled at 11, ``_component``.
+    With the cross arcs (11, 6) and (12, 7) and what a caller adds for the
+    run (the arcs (6, 5) and (7, 8) and the matching edge 6-7) the result
+    meets goal M2, z's caps included, and nothing is searched."""
+    g = PlaneGraph(((2, 15, 10), (1, 3), (2, 4), (3, 5, 16), (4, 6), (5, 7, 11),
+                    (6, 8, 12), (7, 9), (8, 10), (1, 9), (6, 12, 14), (7, 13, 11),
+                    (12, 14), (11, 13), (1, 16), (4, 15)), (1, 2))
     cfg = Configuration(g, (1, 2, 3, 4))
-    s = 9
-    piece = main_decomposer.extract_piece(g, set(g.vertices()) - {s},
+    piece = main_decomposer.extract_piece(g, set(g.vertices()) - {6, 7},
                                           outer_parent_edge=(2, 3))
     assert not piece.graph.is_connected()
-    cross = main_decomposer._arcs_into(g, piece, {s})
+    cross = [(11, 6), (12, 7)]
     trace = CaseTrace()
-    dec = main_decomposer._obs_0000(cfg, piece, cfg.path, cross, trace)
-    assert trace.entries == [("Tiny", "anchored-0000 n=11")]
-    assert verify(g, cfg.path, goal_spec("M2", cfg),
-                  dec.adjust(add_arcs=cross)).ok
+    dec = main_decomposer._obs_0000(cfg, piece, cross, "Claim10", trace)
+    assert ("Claim10", "component n=4") in trace.entries
+    assert "Tiny" not in trace.labels()
+    assert dec.matched_partner(4) is None and dec.out_degree(4) <= 1
+    run = dec.adjust(add_arcs=cross + [(6, 5), (7, 8)], add_matching=[(6, 7)])
+    assert verify(g, cfg.path, goal_spec("M2", cfg), run).ok
 
 
 class _OverBudget(Exception):
@@ -604,10 +620,12 @@ def _fold_run(h, key, run) -> list[tuple[str, str]] | None:
     return trace.entries
 
 
-def _anchored_searches(entries) -> list[tuple[str, str]]:
-    """The entries of Claim 8's old exhaustive G'' search, which the
-    dangling chain and the per-component step replaced."""
-    return [e for e in entries if e[0] == "Tiny" and e[1].startswith("anchored n=")]
+def _searches(entries, kind: str) -> list[tuple[str, str]]:
+    """The entries of the exhaustive search of the given kind: "anchored",
+    Claim 8's old G'' search, which the dangling chain and the per-component
+    step replaced, or "anchored-0000", the G'' step of Claims 9-11 and the
+    final step, which searches only behind a failed precondition."""
+    return [e for e in entries if e[0] == "Tiny" and e[1].startswith(kind + " ")]
 
 
 # pins the trace and output of every top-level M0-M3 run at n <= 8, which
@@ -630,7 +648,7 @@ def test_configuration_outputs_frozen():
                 entries = _fold_run(h, (quad, goal),
                                     lambda: decompose_config(cfg, goal))
                 ok += entries is not None
-                anchored += _anchored_searches(entries or ())
+                anchored += _searches(entries or (), "anchored")
     assert (runs, ok) == (7418, 7418)
     assert anchored == []
     assert h.hexdigest() == CONFIG_OUTPUTS_DIGEST
@@ -650,7 +668,7 @@ def _large_instances():
 
 # every run succeeds; recorded with the same code as CONFIG_OUTPUTS_DIGEST
 LARGE_OUTPUTS_DIGEST = \
-    "1143643d533f0a81cd52f2db1e422bf47e0aabb303b7c2e98831ed21f8e2418b"
+    "701fafcd97ff082f05fa028bbe41edb0417366d547dcf8897c7a6dc1433c6942"
 
 
 def test_large_outputs_frozen():
@@ -665,7 +683,7 @@ def test_large_outputs_frozen():
         runs += 1
         entries = _fold_run(h, g.n, lambda: decompose_21(g))
         ok += entries is not None
-        anchored += _anchored_searches(entries or ())
+        anchored += _searches(entries or (), "anchored")
     assert (runs, ok) == (186, 186)
     assert anchored == []
     assert h.hexdigest() == LARGE_OUTPUTS_DIGEST
@@ -689,38 +707,82 @@ def test_claim8_piece_that_falls_apart(seed, k, share, i):
     assert ("Claim8", "dangling 2") in trace.entries
     assert any(lab == "Claim8" and detail.startswith("component ")
                for lab, detail in trace.entries)
-    assert _anchored_searches(trace.entries) == []
+    assert _searches(trace.entries, "anchored") == []
     assert verify_21(g, dec)
 
 
 def test_claim11_piece_that_falls_apart():
-    """Op 119 of the large workload's seed 21: Claim 11's G'' falls apart,
-    and the anchored search decomposes it instead of a recursion."""
+    """Op 119 of the large workload's seed 21: Claim 11's G'' falls apart.
+    The x-y component takes the recursion and the other one ``_component``,
+    where the exhaustive search once took the whole piece."""
     g = instances.bench_large_subgraph(21, 10, .4, 3)
     dec, trace = decompose_21(g)
-    assert "Claim11" in trace.labels()
-    assert ("Tiny", "anchored-0000 n=25") in trace.entries
+    assert ("Claim11", "component n=6") in trace.entries
+    assert _searches(trace.entries, "anchored-0000") == []
     assert verify_21(g, dec)
 
 
 @pytest.mark.parametrize("name,claim,step", [
     pytest.param("A", "Claim8", ("Claim8", "component n=21"),
                  id="A-Claim8-component"),
-    pytest.param("B", "Claim10", ("Tiny", "anchored-0000 n=39"),
-                 id="B-Claim10-anchored-0000 n=39"),
+    pytest.param("B", "Claim10", ("Claim10", "component n=9"),
+                 id="B-Claim10-component"),
+    pytest.param("D", "Claim10", ("Claim10", "component n=111"),
+                 id="D-Claim10-component"),
 ])
 def test_cubic_dual_whose_g_double_prime_falls_apart(name, claim, step):
-    """The G'' of Claim 8 (A) or Claim 10 (B) falls apart, where the
-    recursion's Claim 2 once raised 'bridge of a block with attachments
-    set()'.  Claim 8 decomposes the component away from x-y on its own,
-    with no search; Claim 10's G'' goes to the search with its cross arcs
-    reserved."""
+    """The G'' of Claim 8 (A) or Claim 10 (B, D) falls apart.  In A and B
+    the recursion's Claim 2 once raised 'bridge of a block with attachments
+    set()'; in D the search that took B over once matched z, which M2
+    leaves unmatched.  Each component away from x-y is decomposed on its
+    own, and no search runs."""
     g = PlaneGraph(*instances.FALLING_APART[name])
     dec, trace = decompose_21(g)
     assert claim in trace.labels()
     assert step in trace.entries
-    assert _anchored_searches(trace.entries) == []
+    assert _searches(trace.entries, "anchored") == []
+    assert _searches(trace.entries, "anchored-0000") == []
     assert verify_21(g, dec)
+
+
+def test_cubic_duals_are_seeded_cubic_and_triangle_free():
+    """The generator gives n = 2V - 4 vertices, all of degree 3 before
+    thinning; a share s deletes int(s m) edges and keeps the graph valid
+    (connected and triangle-free); the same arguments give the same graph,
+    and instance D is cubic_dual(94, 13)."""
+    for V in (8, 9, 30, 61):
+        g = instances.cubic_dual(V, 1)
+        assert g.n == 2 * V - 4
+        assert {g.degree(v) for v in g.vertices()} == {3}
+        for share in (.1, .25):
+            thin = instances.cubic_dual(V, 1, share)
+            assert thin.m == g.m - int(share * g.m)
+            assert plane_graph.validate(thin).ok
+    assert instances.cubic_dual(30, 2, .1) == instances.cubic_dual(30, 2, .1)
+    assert instances.cubic_dual(30, 2) != instances.cubic_dual(30, 3)
+    assert instances.cubic_dual(94, 13) == PlaneGraph(*instances.FALLING_APART["D"])
+
+
+# The n = 27 level of a cubic dual behind instance D's failure: Claim 10's
+# G'' falls apart, and the search that took it over matched z = 19.
+CLAIM10_Z_LEVEL = PlaneGraph(
+    ((5, 7), (4, 13, 5), (27, 4), (3, 11, 2), (2, 10, 1), (10, 19, 8), (9, 1),
+     (6, 21, 9), (8, 7), (5, 18, 6), (13, 4, 12), (11, 26, 14), (14, 2, 11),
+     (12, 25, 13), (16, 17), (18, 20, 15), (15, 19), (10, 22, 16),
+     (17, 21, 6), (16, 22), (19, 8), (18, 23, 20), (22, 25), (26, 27),
+     (23, 14, 26), (25, 12, 24), (24, 3)), (21, 8))
+
+
+def test_claim10_g_double_prime_keeps_z_unmatched():
+    """M2 on (16, 15, 17, 19): z = 19 lies in the x-y component of Claim
+    10's G'', which takes the recursion under the goal's caps, while the
+    other component (n = 4) goes through ``_component``."""
+    cfg = Configuration(CLAIM10_Z_LEVEL, (16, 15, 17, 19))
+    dec, trace = decompose_config(cfg, "M2")
+    assert ("Claim10", "component n=4") in trace.entries
+    assert "Tiny" not in trace.labels()
+    assert dec.matched_partner(19) is None
+    assert verify(cfg.graph, cfg.path, goal_spec("M2", cfg), dec).ok
 
 
 def test_claim8_dangling_chain():
@@ -731,7 +793,7 @@ def test_claim8_dangling_chain():
     with _cpu_budget(10):
         dec, trace = decompose_21(g)
     assert ("Claim8", "dangling 2") in trace.entries
-    assert _anchored_searches(trace.entries) == []
+    assert _searches(trace.entries, "anchored") == []
     assert verify_21(g, dec)
 
 
