@@ -13,17 +13,23 @@ mirror image (every rotation reversed) is a smaller tuple: rotation_systems
 leaves it out on request, and in the full increasing order that mirror comes
 first.  Its faces are the left-out system's faces walked backwards, and the
 key folds in the reflection, so every key the left-out system would produce
-is already seen and it could never emit a graph.  The keys, and the
-(rotation, outer) pairs emitted and their order, are therefore exactly those
-of keying every pair with canonical_form.
+is already seen and it could never emit a graph.  Nor does plane_graphs_of
+trace a system that an automorphism of the graph, with or without the
+mirror, maps to a smaller one: the least system of that orbit came first
+and emitted every key of the orbit.  The keys, and the (rotation, outer)
+pairs emitted and their order, are therefore exactly those of keying every
+pair with canonical_form.
 
 Abstract graphs are grown one vertex at a time (abstract_graphs_augment) and
 deduplicated by graph_certificate, an exact canonical labelling by
 individualization-refinement over adjacency bitmasks.  The filters run in the
 order: independent attachment sets only (so no triangle can appear), the
-Euler bound, the certificate lookup, and last nx.check_planarity, once per
-isomorphism class.  The second order (abstract_graphs_edge_subsets) keeps the
-networkx isomorphism test, so each order checks the other.
+Euler bound, the parent-automorphism skip (an attachment set that an
+automorphism of the parent maps onto an earlier one), the certificate
+lookup, the Kuratowski count (too few vertices of degree >= 3 or >= 4 for a
+K3,3 or K5 subdivision), and last nx.check_planarity, at most once per
+isomorphism class.  The second order (abstract_graphs_edge_subsets) keeps
+the networkx isomorphism test, so each order checks the other.
 """
 
 from __future__ import annotations
@@ -237,7 +243,14 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
 def graph_certificate(adj: Sequence[int]) -> tuple[int, int]:
     """Canonical form of the abstract graph whose vertex v has neighbour
     bitmask adj[v]: two graphs receive equal certificates iff they are
-    isomorphic.
+    isomorphic.  _certificate_search describes the search."""
+    return _certificate_search(adj)[0]
+
+
+def _certificate_search(adj: Sequence[int]
+                        ) -> tuple[tuple[int, int], list[list[int]]]:
+    """graph_certificate(adj), and the automorphisms the search collected on
+    the way, each as the list of images of the vertices 0..n-1.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): refine the degree partition to an equitable
@@ -317,7 +330,7 @@ def graph_certificate(adj: Sequence[int]) -> tuple[int, int]:
 
     if n:
         search(_refine(adj, [(1 << n) - 1], [(1 << n) - 1]), 0)
-    return n, min(leaves, default=0)
+    return (n, min(leaves, default=0)), [img for _, img in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -392,40 +405,85 @@ def _augment(adj: list[int], S: int) -> list[int]:
     return [a | bit if S >> u & 1 else a for u, a in enumerate(adj)] + [S]
 
 
+def _moved_earlier(gens: list[list[int]], S: int) -> bool:
+    """Whether an automorphism in gens maps the attachment set S onto a set
+    that _augment_candidates lists before S.  The image has S's size, and
+    sets of one size are listed in lexicographic order, so the image comes
+    first exactly when it holds the least element of the symmetric
+    difference."""
+    for img in gens:
+        T, y = 0, S
+        while y:
+            b = y & -y
+            y ^= b
+            T |= 1 << img[b.bit_length() - 1]
+        d = S ^ T
+        if T & d & -d:
+            return True
+    return False
+
+
+def _kuratowski_branches(adj: Sequence[int]) -> bool:
+    """Whether the graph has six vertices of degree >= 3 or five of degree
+    >= 4, the branch vertices of a subdivided K3,3 or K5.  A graph without
+    them contains neither subdivision, so it is planar (Kuratowski)."""
+    degrees = [a.bit_count() for a in adj]
+    return (sum(d >= 3 for d in degrees) >= 6
+            or sum(d >= 4 for d in degrees) >= 5)
+
+
+def _adjacency(G: nx.Graph) -> list[int]:
+    """Neighbour bitmasks of a graph on the vertices 1..n, bit v - 1 for
+    vertex v."""
+    return [sum(1 << (u - 1) for u in G[v])
+            for v in range(1, G.number_of_nodes() + 1)]
+
+
 def abstract_graphs_augment(max_n: int) -> dict[int, list[nx.Graph]]:
     """Connected triangle-free planar graphs up to isomorphism, by vertex
     augmentation: attach vertex n to a nonempty independent set of an
     (n-1)-vertex graph.  (Planarity and triangle-freeness are hereditary under
     vertex deletion, so pruning every level loses nothing.)
 
-    Candidates are built as bitmasks and looked up by graph_certificate
+    Candidates are built as bitmasks and looked up by their certificate
     before any planarity test: only the first candidate of each isomorphism
-    class is tested with nx.check_planarity and, if planar, kept as an
-    nx.Graph.  Planarity, the Euler bound and triangle-freeness are
-    isomorphism invariants, so the graph kept for a class is its first planar
-    candidate, the one that deduplicating the planar candidates would keep.
+    class is tested for planarity and, if planar, kept as an nx.Graph.
+    Planarity, the Euler bound and triangle-freeness are isomorphism
+    invariants, so the graph kept for a class is its first planar candidate,
+    the one that deduplicating the planar candidates would keep.
+
+    Two filters only save work.  A candidate S that an automorphism of its
+    parent (one the parent's own certificate search collected) maps onto an
+    earlier candidate is skipped without a search.  The two new graphs are
+    isomorphic, so the first candidate of a class is never moved earlier by
+    a parent automorphism: it is never skipped, and the certificates seen
+    before each kept candidate are unchanged.  And nx.check_planarity runs
+    only on a candidate with the branch vertices of a Kuratowski
+    subdivision (_kuratowski_branches); any other is planar.
     """
     levels: dict[int, list[nx.Graph]] = {1: [_nx_from_edges(1, [])]}
-    adjs = [[0]]
+    parents: list[tuple[list[int], list[list[int]]]] = [([0], [])]
     for n in range(2, max_n + 1):
         kept: list[nx.Graph] = []
-        kept_adjs: list[list[int]] = []
+        kept_parents: list[tuple[list[int], list[list[int]]]] = []
         seen: set[tuple[int, int]] = set()
-        for G, adj in zip(levels[n - 1], adjs):
+        for G, (adj, gens) in zip(levels[n - 1], parents):
             for S in _augment_candidates(adj):
+                if _moved_earlier(gens, S):
+                    continue
                 cand = _augment(adj, S)
-                cert = graph_certificate(cand)
+                cert, cand_gens = _certificate_search(cand)
                 if cert in seen:
                     continue
                 seen.add(cert)
                 H = G.copy()
                 H.add_node(n)
                 H.add_edges_from((n, u) for u in range(1, n) if S >> (u - 1) & 1)
-                if nx.check_planarity(H)[0]:
+                if not _kuratowski_branches(cand) or nx.check_planarity(H)[0]:
                     kept.append(H)
-                    kept_adjs.append(cand)
+                    kept_parents.append((cand, cand_gens))
         levels[n] = kept
-        adjs = kept_adjs
+        parents = kept_parents
     return levels
 
 
@@ -547,16 +605,57 @@ def _faces(rot: Rotation) -> list[tuple[Edge, ...]]:
     return out
 
 
+def _image_below(rot: Rotation, img: list[int], inv: list[int],
+                 high: list[int], mirrored: bool) -> bool:
+    """Whether the image of the system rot under the automorphism img
+    (vertex v to img[v], inv its inverse), mirrored if asked, is a smaller
+    tuple than rot.  The image's rotation at w is rot's at inv[w], relabelled
+    and restarted at its least neighbour.  Rows are compared in order until
+    the first difference, over high alone, the vertices of degree >= 3: a
+    row of degree <= 2 is its sorted neighbours in rot and in every image."""
+    for w in high:
+        r = [img[u] for u in rot[inv[w] - 1]]
+        i = r.index(min(r))
+        r = r[i:] + r[:i]
+        if mirrored:
+            r[1:] = r[:0:-1]
+        row = rot[w - 1]
+        r = tuple(r)
+        if r != row:
+            return r < row
+    return False
+
+
 def plane_graphs_of(G: nx.Graph) -> list[PlaneGraph]:
     """All plane graphs (embedding + outer face) of G, deduplicated with
     reflection included: for every rotation system and every face, in that
     order, the first plane graph of each canonical_form.
 
     Only one system of each mirror pair is traced and keyed (see the module
-    docstring): its faces' keys already fold in the reflection."""
+    docstring): its faces' keys already fold in the reflection.  Of those,
+    a system is skipped when an automorphism of G that the certificate
+    search of G collected maps it, or its mirror, to a smaller tuple.  The
+    systems in one orbit under the automorphisms and the mirror have the
+    same face keys, since a key is the same for isomorphic plane graphs and
+    folds in the reflection.  The least system of each orbit is yielded, as
+    it is not above its mirror, and is never skipped; it comes first of its
+    orbit and emits every face key of the orbit, so a skipped system would
+    have emitted nothing."""
     out: list[PlaneGraph] = []
     seen: set[bytes] = set()
+    n = G.number_of_nodes()
+    maps = []
+    for img in _certificate_search(_adjacency(G))[1]:
+        img = [0] + [v + 1 for v in img]
+        inv = [0] * (n + 1)
+        for v in range(1, n + 1):
+            inv[img[v]] = v
+        maps.append((img, inv))
+    high = [v for v in range(1, n + 1) if G.degree(v) >= 3]
     for rot in rotation_systems(G, one_per_mirror_pair=True):
+        if any(_image_below(rot, img, inv, high, mirrored)
+               for img, inv in maps for mirrored in (False, True)):
+            continue
         mirror = _mirror(rot)
         for face in _faces(rot):
             key = _face_key(rot, mirror, face)

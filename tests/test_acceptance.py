@@ -75,6 +75,15 @@ def test_criterion_1_theorem_sweep(graphs9, theorem_stats):
             + (f"; first: {st.failures[0][:160]}" if st.failures else ""))
 
 
+def test_enumeration_order_frozen(graphs9):
+    """The (rotation, outer) pairs of the n <= 9 enumeration, in emission
+    order, fold into a frozen SHA-256."""
+    h = hashlib.sha256()
+    for g in graphs9:
+        h.update(repr((g.rotation, g.outer)).encode())
+    fixtures.check(f"digest_enumerate_n{SWEEP_N}", int(h.hexdigest(), 16))
+
+
 def test_criterion_2_conditional_sweep(config_stats):
     st = config_stats
     _report("2 (goal sweep with oracle confirmation)",

@@ -216,17 +216,43 @@ def _reference_rotation_systems(G):
             yield rot
 
 
+def _image(rot, perm):
+    """The system rot relabelled by perm (vertex v to perm[v]), each
+    rotation restarted at its least neighbour."""
+    out = [()] * len(rot)
+    for v, r in enumerate(rot, start=1):
+        r = [perm[u] for u in r]
+        i = r.index(min(r))
+        out[perm[v] - 1] = tuple(r[i:] + r[:i])
+    return tuple(out)
+
+
+def _moved_below(rot, perms):
+    """Whether a vertex map in perms takes rot, or its mirror, to a smaller
+    tuple."""
+    return any(min(im, oracle._mirror(im)) < rot
+               for im in (_image(rot, p) for p in perms))
+
+
 def test_embedding_enumeration_matches_reference_n7(monkeypatch):
     """rotation_systems and plane_graphs_of emit exactly what the plain
     product filter and canonical_form keying of every face emit, in order;
-    the enumerator's face key is canonical_form, mirror systems included, and
-    it traces faces only for systems whose mirror did not come earlier."""
+    the enumerator's face key is canonical_form, mirror systems included.
+    It traces faces only for systems whose mirror did not come earlier and
+    that no automorphism from G's certificate search maps, or maps and
+    mirrors, below themselves; those include every system that is least in
+    its orbit under G's full automorphism group and the mirror."""
     traced = []
     faces = oracle._faces
     monkeypatch.setattr(oracle, "_faces", lambda rot: traced.append(rot) or faces(rot))
     levels = abstract_graphs_augment(7)
-    skipped = 0
+    skipped = by_symmetry = 0
     for G in (G for n in range(2, 8) for G in levels[n]):
+        n = G.number_of_nodes()
+        gens = [{v: img[v - 1] + 1 for v in range(1, n + 1)} for img in
+                oracle._certificate_search(_bitmasks(G, range(1, n + 1)))[1]]
+        autos = list(nx.algorithms.isomorphism.GraphMatcher(G, G)
+                     .isomorphisms_iter())
         rots = list(_reference_rotation_systems(G))
         assert list(rotation_systems(G)) == rots
         want, seen, earlier, kept = [], set(), set(), []
@@ -249,9 +275,12 @@ def test_embedding_enumeration_matches_reference_n7(monkeypatch):
         got = plane_graphs_of(G)
         assert [(g.rotation, g.outer) for g in got] == \
             [(g.rotation, g.outer) for g in want]
-        assert traced == kept
+        assert traced == [rot for rot in kept if not _moved_below(rot, gens)]
+        assert set(traced) >= {rot for rot in rots
+                               if not _moved_below(rot, autos)}
         skipped += len(rots) - len(kept)
-    assert skipped > 0
+        by_symmetry += len(kept) - len(traced)
+    assert skipped > 0 and by_symmetry > 0
 
 
 def test_one_per_mirror_pair_keeps_the_reference_systems_not_above_their_mirrors():
@@ -352,6 +381,75 @@ def test_certificate_is_exact_on_augment_candidates_n7():
         assert planar == len(levels[n])
         nonplanar += len(reps) - planar
     assert merged > 300 and nonplanar > 0
+
+
+def test_certificate_search_generators_are_automorphisms_n7():
+    """Every vertex map the certificate search returns, on every candidate
+    the augment step builds for n <= 7, is a permutation that preserves
+    adjacency."""
+    levels = abstract_graphs_augment(6)
+    gens = 0
+    for n in range(2, 8):
+        for G in levels[n - 1]:
+            adj = _bitmasks(G, range(1, n))
+            for S in oracle._augment_candidates(adj):
+                cand = oracle._augment(adj, S)
+                for img in oracle._certificate_search(cand)[1]:
+                    assert sorted(img) == list(range(n))
+                    for v, a in enumerate(cand):
+                        assert cand[img[v]] == sum(1 << img[u] for u in range(n)
+                                                   if a >> u & 1)
+                    gens += 1
+    assert gens > 0
+
+
+def test_kuratowski_count_passes_only_planar_candidates_n8():
+    """A candidate of the augment step with a new certificate, n <= 8, that
+    lacks the branch vertices of a K3,3 or K5 subdivision is planar; some
+    that have them are not."""
+    levels = abstract_graphs_augment(7)
+    flagged_nonplanar = 0
+    for n in range(2, 9):
+        seen = set()
+        for G in levels[n - 1]:
+            adj = _bitmasks(G, range(1, n))
+            for S in oracle._augment_candidates(adj):
+                cand = oracle._augment(adj, S)
+                cert = graph_certificate(cand)
+                if cert in seen:
+                    continue
+                seen.add(cert)
+                planar = nx.check_planarity(_nx_of(cand))[0]
+                if oracle._kuratowski_branches(cand):
+                    flagged_nonplanar += not planar
+                else:
+                    assert planar
+    assert flagged_nonplanar > 0
+
+
+def _subdivided(edges):
+    """Every edge of the multigraph edges subdivided once, as bitmasks."""
+    G = nx.Graph()
+    for i, (a, b) in enumerate(edges):
+        G.add_edges_from([(a, ("s", i)), (("s", i), b)])
+    return _bitmasks(G, list(G))
+
+
+def test_kuratowski_count_threshold():
+    """K3,3 (six vertices of degree 3) and K5 subdivided (five of degree 4)
+    are flagged.  Two planar graphs one branch vertex short are not: K5
+    subdivided less one subdividing vertex (five of degree >= 3, three of
+    degree 4), and K4 subdivided with two edges doubled (four of degree
+    4)."""
+    k5 = list(itertools.combinations(range(5), 2))
+    k33 = nx.complete_bipartite_graph(3, 3)
+    assert oracle._kuratowski_branches(_bitmasks(k33, list(k33)))
+    assert oracle._kuratowski_branches(_subdivided(k5))
+    for edges in (k5[1:], list(itertools.combinations(range(4), 2))
+                  + [(0, 1), (2, 3)]):
+        adj = _subdivided(edges)
+        assert nx.check_planarity(_nx_of(adj))[0]
+        assert not oracle._kuratowski_branches(adj)
 
 
 _SYMMETRIC = {
